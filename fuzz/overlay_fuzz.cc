@@ -9,7 +9,9 @@
 // reference set the harness tracks itself). All three must agree on
 // membership, on exact join results (the full SeekGE/Narrow/BlockEnd
 // iterator contract through LFTJ and CTJ), and BIT-IDENTICALLY on
-// seeded walk estimates. Any disagreement aborts via KGOA_CHECK.
+// seeded walk estimates, and key by key on every depth lookup, distinct
+// count and position read of the four orders (tests/index_differential.h).
+// Any disagreement aborts via KGOA_CHECK.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include "src/query/chain_query.h"
 #include "src/rdf/graph.h"
 #include "src/util/contract.h"
+#include "tests/index_differential.h"
 
 namespace {
 
@@ -143,6 +146,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
   const kgoa::Graph rebuilt =
       kgoa::Graph::Rebase(base.graph(), reference);
   const kgoa::IndexSet rebuilt_indexes(rebuilt);
+
+  // Per-key differential on all four orders. The probes span the whole
+  // (s, p, o) universe — base triples, adds, tombstones, fully
+  // tombstoned (v0, v1) blocks, adds-only pairs, absent keys and fresh
+  // terms at or beyond the base's num_terms — plus keys one past it.
+  std::vector<kgoa::Triple> probes;
+  for (const kgoa::TermId s : universe) {
+    for (const kgoa::TermId p : preds) {
+      for (const kgoa::TermId o : universe) {
+        kgoa::testing::AddProbesAround(kgoa::Triple{s, p, o}, &probes);
+      }
+    }
+  }
+  const std::string diff = kgoa::testing::IndexSetDiff(
+      overlay.indexes(), rebuilt_indexes, probes);
+  KGOA_CHECK_MSG(diff.empty(), diff);
 
   // Membership sweep over the whole (s, p, o) universe.
   for (const kgoa::TermId s : universe) {

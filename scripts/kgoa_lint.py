@@ -82,6 +82,14 @@ Rules (see DESIGN.md, "Correctness tooling" and §11):
                          a stray intrinsic elsewhere either breaks the
                          no.-march build or silently skips the KGOA_SIMD
                          scalar-fallback stage.
+  hash-bypass            No IndexSet::Hash() call in src/ outside
+                         src/index: the hash range tables answer in the
+                         BASE position space, which shifts under an overlay
+                         view (DESIGN.md §13). Depth lookups go through
+                         IndexSet::Depth1/Depth2/Ndv2, which shift the
+                         base range into merged positions; the registry's
+                         memory accounting, which reads entry counts only,
+                         carries a `kgoa-lint: allow(hash-bypass)` note.
 
 Suppression: append `// kgoa-lint: allow(<rule>[, <rule>...])` on the
 offending line or the line directly above, with a reason. Exits 1 when any
@@ -147,6 +155,9 @@ RAW_GRAPH_RETAIN_RE = re.compile(
     r"^\s*(?:const\s+)?(?:kgoa::)?(Graph|IndexSet)\s*[*&]\s*"
     r"(?:\w+_\s*(?:=[^;]*)?|[A-Za-z]\w*\s*(?:=\s*nullptr\s*)?);"
 )
+
+# A call of IndexSet::Hash (through an object or a pointer).
+HASH_CALL_RE = re.compile(r"(?:\.|->)Hash\s*\(")
 
 # x86 SIMD surface: the intrinsic headers and the _mm*/__m* value types.
 INTRINSIC_INCLUDE_RE = re.compile(
@@ -429,6 +440,15 @@ class Linter:
                           "annotate a query-scoped engine that a pinned "
                           "snapshot provably outlives")
 
+            # hash-bypass: src only, outside the index layer that owns
+            # the tables and shifts their ranges for overlay views.
+            if in_src and not rel.startswith("src/index/"):
+                if HASH_CALL_RE.search(line):
+                    check("hash-bypass", i,
+                          "IndexSet::Hash() answers in the base position "
+                          "space, which an overlay view shifts; use "
+                          "IndexSet::Depth1/Depth2/Ndv2")
+
             if in_hot:
                 if re.search(r"\bunordered_(map|set)\b", line):
                     check("unordered-in-hot-path", i,
@@ -591,6 +611,22 @@ def self_test() -> int:
          "  // kgoa-lint: allow(raw-graph-retention) engine is query-"
          "scoped\n"
          "  const IndexSet& indexes_;\n", set()),
+        ("hash probe outside the index layer", "src/core/foo.cc",
+         "Range r = indexes.Hash(order).Depth2(a, b);\n", {"hash-bypass"}),
+        ("hash probe through a pointer", "src/join/foo.cc",
+         "uint64_t n = indexes->Hash(order).Ndv2(v);\n", {"hash-bypass"}),
+        ("index layer may probe its tables", "src/index/foo.cc",
+         "const Range r = Hash(order).Depth1(v) ;\n"
+         "const Range s = base.Hash(order).Depth1(v);\n", set()),
+        ("allowed hash accounting", "src/eval/registry.cc",
+         "// kgoa-lint: allow(hash-bypass) entry counts only\n"
+         "const HashRangeIndex& hash = indexes.Hash(order);\n", set()),
+        ("tests may probe the tables", "tests/foo_test.cc",
+         "const HashRangeIndex& hash = indexes_.Hash(order);\n", set()),
+        ("TripleHash is not Hash", "src/core/foo.cc",
+         "std::size_t h = TripleHash()(t);\n", set()),
+        ("depth helpers pass", "src/core/foo.cc",
+         "Range r = indexes.Depth2(order, a, b);\n", set()),
         ("existing rule still fires", "src/foo/bar.cc",
          "assert(x > 0);\n", {"bare-assert"}),
         ("raw thread still fires", "tests/foo_test.cc",

@@ -137,8 +137,7 @@ Range MultiBoundAccess::Resolve(
     case 2:
       return indexes.Depth2(order_, key[0], key[1]);
     default:
-      return index.Narrow(indexes.Depth2(order_, key[0], key[1]), 2,
-                          key[2]);
+      return indexes.Depth3(order_, key[0], key[1], key[2]);
   }
 }
 

@@ -192,11 +192,11 @@ void ExportMetrics(const IndexSet& indexes, std::string_view prefix,
     for (char& c : name) c = static_cast<char>(std::tolower(c));
     registry->SetGauge(p + "sort_ms." + name, stats.sort_ms[o]);
     registry->SetGauge(p + "hash_ms." + name, stats.hash_ms[o]);
-    // Overlay views carry no hash tables (src/index/index_set.h).
-    if (indexes.has_hash()) {
-      depth1_entries += indexes.Hash(order).Depth1Entries();
-      depth2_entries += indexes.Hash(order).Depth2Entries();
-    }
+    // An overlay view probes its base's tables (src/index/index_set.h).
+    // kgoa-lint: allow(hash-bypass) entry counts only, no range lookups
+    const HashRangeIndex& hash = indexes.Hash(order);
+    depth1_entries += hash.Depth1Entries();
+    depth2_entries += hash.Depth2Entries();
   }
   registry->SetCounter(p + "depth1_entries", depth1_entries);
   registry->SetCounter(p + "depth2_entries", depth2_entries);

@@ -34,7 +34,7 @@ IndexSet::IndexSet(const Graph& graph, const IndexSetOptions& options)
   const std::vector<Triple>& base = graph.triples();
   const uint32_t n = static_cast<uint32_t>(base.size());
   indexes_.resize(kNumIndexOrders);
-  hashes_.resize(kNumIndexOrders);
+  owned_hashes_.resize(kNumIndexOrders);
   Stopwatch total;
 
   // Each task writes a distinct slot of indexes_/hashes_/stats_, so the
@@ -42,7 +42,8 @@ IndexSet::IndexSet(const Graph& graph, const IndexSetOptions& options)
   auto build_hash = [this](IndexOrder order) {
     const int o = static_cast<int>(order);
     Stopwatch clock;
-    hashes_[o] = std::make_unique<HashRangeIndex>(*indexes_[o]);
+    owned_hashes_[o] = std::make_unique<HashRangeIndex>(*indexes_[o]);
+    hashes_[o] = owned_hashes_[o].get();
     stats_.hash_ms[o] = clock.ElapsedMillis();
   };
   auto adopt = [&](IndexOrder order, std::vector<Triple> sorted,
@@ -122,48 +123,51 @@ IndexSet::IndexSet(const Graph& graph, const IndexSetOptions& options)
 
 std::unique_ptr<IndexSet> IndexSet::MakeView(const IndexSet& base,
                                              const DeltaOverlay& overlay) {
-  KGOA_CHECK_MSG(base.has_hash(),
+  KGOA_CHECK_MSG(base.deltas_[0] == nullptr,
                  "views do not stack: the base must be an owning IndexSet");
   auto view = std::unique_ptr<IndexSet>(new IndexSet());
   view->num_triples_ =
       base.NumTriples() - overlay.NumDels() + overlay.NumAdds();
   view->tier_ = base.tier();
   view->indexes_.resize(kNumIndexOrders);
-  view->hashes_.resize(kNumIndexOrders);  // all null: has_hash() == false
   for (IndexOrder order : kAllIndexOrders) {
-    view->indexes_[static_cast<int>(order)] = std::make_unique<TrieIndex>(
+    const int o = static_cast<int>(order);
+    view->indexes_[o] = std::make_unique<TrieIndex>(
         base.Index(order), overlay.Delta(order), overlay.ViewNumTerms());
+    view->hashes_[o] = base.hashes_[o];
+    view->deltas_[o] = &overlay.Delta(order);
   }
   return view;
 }
 
 Range IndexSet::Depth1(IndexOrder order, TermId v) const {
-  if (has_hash()) return Hash(order).Depth1(v);
-  return Index(order).Level0Range(v);
+  const int o = static_cast<int>(order);
+  const Range base = hashes_[o]->Depth1(v);
+  if (deltas_[o] == nullptr) return base;
+  return deltas_[o]->LookupPrefix(1, OrderDelta::Key{v, 0, 0}, base);
 }
 
 Range IndexSet::Depth2(IndexOrder order, TermId v0, TermId v1) const {
-  if (has_hash()) return Hash(order).Depth2(v0, v1);
-  const TrieIndex& index = Index(order);
-  const Range level0 = index.Level0Range(v0);
-  if (level0.empty()) return Range{};
-  return index.Narrow(level0, 1, v1);
+  const int o = static_cast<int>(order);
+  const Range base = hashes_[o]->Depth2(v0, v1);
+  if (deltas_[o] == nullptr) return base;
+  return deltas_[o]->LookupPrefix(2, OrderDelta::Key{v0, v1, 0}, base);
+}
+
+Range IndexSet::Depth3(IndexOrder order, TermId v0, TermId v1,
+                       TermId v2) const {
+  const int o = static_cast<int>(order);
+  const Range base = hashes_[o]->Depth2(v0, v1);
+  if (deltas_[o] == nullptr) return Index(order).Narrow(base, 2, v2);
+  return deltas_[o]->LookupTriple(OrderDelta::Key{v0, v1, v2}, base);
 }
 
 uint64_t IndexSet::Ndv2(IndexOrder order, TermId v0) const {
-  if (has_hash()) return Hash(order).Ndv2(v0);
-  const TrieIndex& index = Index(order);
-  const Range level0 = index.Level0Range(v0);
-  if (level0.empty()) return 0;
-  return index.CountDistinct(level0, 1);
-}
-
-void IndexSet::PrefetchDepth1(IndexOrder order, TermId v) const {
-  if (has_hash()) Hash(order).PrefetchDepth1(v);
-}
-
-void IndexSet::PrefetchDepth2(IndexOrder order, TermId v0, TermId v1) const {
-  if (has_hash()) Hash(order).PrefetchDepth2(v0, v1);
+  const int o = static_cast<int>(order);
+  const uint64_t base = hashes_[o]->Ndv2(v0);
+  if (deltas_[o] == nullptr) return base;
+  return static_cast<uint64_t>(static_cast<int64_t>(base) +
+                               deltas_[o]->Ndv2Correction(v0));
 }
 
 uint64_t IndexSet::RawStorageBytes() const {
@@ -191,11 +195,8 @@ uint64_t IndexSet::TrieMemoryBytes() const {
 }
 
 uint64_t IndexSet::HashMemoryBytes() const {
-  if (!has_hash()) return 0;
   uint64_t bytes = 0;
-  for (IndexOrder order : kAllIndexOrders) {
-    bytes += Hash(order).MemoryBytes();
-  }
+  for (const auto& hash : owned_hashes_) bytes += hash->MemoryBytes();
   return bytes;
 }
 
@@ -260,12 +261,10 @@ Range IndexSet::ConstantRange(const TriplePattern& pattern, IndexOrder* order,
     case 2:
       return Depth2(*order, pattern[OrderComponent(*order, 0)].term(),
                     pattern[OrderComponent(*order, 1)].term());
-    default: {
-      // All three components constant: narrow the depth-2 range.
-      Range r = Depth2(*order, pattern[OrderComponent(*order, 0)].term(),
-                       pattern[OrderComponent(*order, 1)].term());
-      return index.Narrow(r, 2, pattern[OrderComponent(*order, 2)].term());
-    }
+    default:
+      return Depth3(*order, pattern[OrderComponent(*order, 0)].term(),
+                    pattern[OrderComponent(*order, 1)].term(),
+                    pattern[OrderComponent(*order, 2)].term());
   }
 }
 

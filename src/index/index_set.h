@@ -38,6 +38,7 @@ struct IndexSetOptions {
 };
 
 class DeltaOverlay;
+class OrderDelta;
 
 class IndexSet {
  public:
@@ -50,11 +51,12 @@ class IndexSet {
   explicit IndexSet(const Graph& graph, const IndexSetOptions& options = {});
 
   // Overlay VIEW over a built set: each order becomes a view TrieIndex
-  // merging `base` with the overlay's OrderDelta (DESIGN.md §13). Views
-  // carry no hash range indexes (has_hash() is false) — the depth helpers
-  // below fall back to trie searches over the merged position space, so
-  // every access path keeps working with identical results. `base` and
-  // `overlay` must outlive the view (GraphVersion pins both).
+  // merging `base` with the overlay's OrderDelta (DESIGN.md §13). The view
+  // shares the base's hash range indexes: the depth helpers below probe
+  // them and shift the base range into merged positions through the
+  // OrderDelta's rank directories, so every access path answers as a
+  // rebuild of the merged triple set would. `base` and `overlay` must
+  // outlive the view (GraphVersion pins both).
   static std::unique_ptr<IndexSet> MakeView(const IndexSet& base,
                                             const DeltaOverlay& overlay);
 
@@ -64,32 +66,42 @@ class IndexSet {
   const TrieIndex& Index(IndexOrder order) const {
     return *indexes_[static_cast<int>(order)];
   }
+  // The flat hash range index of `order`: the set's own, or the base's
+  // for an overlay view. It answers in the BASE position space, which
+  // shifts under an overlay, so callers outside src/index must route
+  // depth lookups through Depth1/Depth2/Depth3/Ndv2 below (kgoa_lint's
+  // hash-bypass rule).
   const HashRangeIndex& Hash(IndexOrder order) const {
     return *hashes_[static_cast<int>(order)];
   }
 
-  // False for overlay views, whose range lookups resolve through the trie
-  // helpers below instead of the flat hash tables. Callers outside this
-  // class must route depth lookups through Depth1/Depth2/Ndv2 rather than
-  // Hash() so views work everywhere (the hash tables index the BASE
-  // position space, which shifts under an overlay).
-  bool has_hash() const { return hashes_[0] != nullptr; }
-
-  // Range of triples whose level-0 value is `v` under `order`: the flat
-  // hash table when present, the (view-aware) CSR path otherwise. Both
-  // answer in the same position space.
+  // Range of triples whose level-0 value is `v` under `order` (empty
+  // Range{} if absent): one hash probe, plus two rank-directory lookups
+  // on a view.
   Range Depth1(IndexOrder order, TermId v) const;
 
-  // Range with the first two levels fixed to (v0, v1).
+  // Range with the first two levels fixed to (v0, v1). A pair only the
+  // view's adds hold misses the base table and is answered from the
+  // overlay's own pair table.
   Range Depth2(IndexOrder order, TermId v0, TermId v1) const;
 
-  // Distinct level-0 / level-1-under-v0 counts for `order`.
+  // Index(order).Narrow(Depth2(order, v0, v1), 2, v2): the range of the
+  // single triple, or an empty range. A view answers from the base range
+  // without reading the merged node's keys.
+  Range Depth3(IndexOrder order, TermId v0, TermId v1, TermId v2) const;
+
+  // Distinct level-0 / level-1-under-v0 counts for `order`. A view adds
+  // the OrderDelta's correction to the base table's Ndv2.
   uint64_t Ndv1(IndexOrder order) const { return Index(order).Ndv1(); }
   uint64_t Ndv2(IndexOrder order, TermId v0) const;
 
-  // Prefetch hints for the depth lookups above (no-ops without a hash).
-  void PrefetchDepth1(IndexOrder order, TermId v) const;
-  void PrefetchDepth2(IndexOrder order, TermId v0, TermId v1) const;
+  // Prefetch hints for the hash slots the depth lookups above probe.
+  void PrefetchDepth1(IndexOrder order, TermId v) const {
+    Hash(order).PrefetchDepth1(v);
+  }
+  void PrefetchDepth2(IndexOrder order, TermId v0, TermId v1) const {
+    Hash(order).PrefetchDepth2(v0, v1);
+  }
 
   uint64_t NumTriples() const { return num_triples_; }
 
@@ -107,7 +119,8 @@ class IndexSet {
   // Resident size of the four trie orders (active tier + CSR offsets).
   uint64_t TrieMemoryBytes() const;
 
-  // Resident size of the flat hash range tables.
+  // Resident size of the flat hash range tables this set owns (zero for
+  // a view, which shares its base's).
   uint64_t HashMemoryBytes() const;
 
   // Rough resident size of the whole index structure: the four trie
@@ -148,7 +161,11 @@ class IndexSet {
   uint64_t num_triples_ = 0;
   StorageTier tier_ = StorageTier::kRaw;
   std::vector<std::unique_ptr<TrieIndex>> indexes_;
-  std::vector<std::unique_ptr<HashRangeIndex>> hashes_;
+  std::vector<std::unique_ptr<HashRangeIndex>> owned_hashes_;  // empty: view
+  // Per order: the hash table probed (owned, or the base's for a view) and
+  // the overlay delta shifting its ranges (null unless a view).
+  std::array<const HashRangeIndex*, kNumIndexOrders> hashes_{};
+  std::array<const OrderDelta*, kNumIndexOrders> deltas_{};
   IndexBuildStats stats_;
 };
 

@@ -267,20 +267,9 @@ TermId TrieIndex::ViewKeyAt(uint32_t pos, int level) const {
   return base_->KeyAt(src.index, level);
 }
 
-uint32_t TrieIndex::ViewLowerBound0(TermId value) const {
-  // Merged rank of the first level-0 key >= value: the surviving base
-  // triples below the base's CSR offset for `value`, plus the adds below
-  // it. Both sides are O(log) lookups — the view's stand-in for the CSR
-  // offset array it does not materialize.
-  const uint32_t base_lb = value >= base_->num_terms()
-                               ? base_->size()
-                               : base_->Level0Range(value).begin;
-  return delta_->LiveBefore(base_lb) + delta_->AddsBelowLevel0(value);
-}
-
 Range TrieIndex::ViewLevel0Range(TermId value) const {
   if (value >= num_terms_) return Range{};
-  return Range{ViewLowerBound0(value), ViewLowerBound0(value + 1)};
+  return delta_->MergedLevel0Range(value);
 }
 
 uint32_t TrieIndex::ViewLowerBound(uint32_t lo, uint32_t hi, int level,
@@ -351,7 +340,7 @@ uint32_t TrieIndex::ViewBlockEnd(Range range, int level, uint32_t pos) const {
   const TermId value = ViewKeyAt(pos, level);
   if (level == 0) {
     KGOA_DCHECK(range == Root());
-    return ViewLowerBound0(value + 1);
+    return ViewLevel0Range(value).end;
   }
   uint64_t lo = pos;
   uint64_t step = 1;
@@ -397,20 +386,6 @@ void TrieIndex::ViewCheckInvariants() const {
     prev = t;
   }
   KGOA_CHECK_EQ(distinct, ndv1_);
-}
-
-uint64_t TrieIndex::CountDistinct(Range range, int level) const {
-  if (level == 0) {
-    KGOA_DCHECK(range == Root());
-    return ndv1_;
-  }
-  uint64_t count = 0;
-  uint32_t pos = range.begin;
-  while (pos < range.end) {
-    ++count;
-    pos = BlockEnd(range, level, pos);
-  }
-  return count;
 }
 
 }  // namespace kgoa

@@ -65,10 +65,13 @@ class TrieIndex {
   // Overlay VIEW: merges `base` with `delta` (adds + tombstones) into the
   // rank-defined merged position space of DESIGN.md §13, without copying
   // any base storage. Every accessor answers as a from-scratch rebuild of
-  // the merged triple set would, position for position; seeks and narrows
-  // become O(log n * log overlay) generic binary searches over the merged
-  // key sequence. `base` and `delta` must outlive the view (GraphVersion
-  // pins both). `num_terms` must exceed every TermId of the merged set.
+  // the merged triple set would, position for position. TripleAt/KeyAt
+  // resolve a merged position with one rank-directory load plus a search
+  // inside one bucket; Level0Range shifts the base's CSR range through
+  // the same directories; deeper Narrow, SeekGE and BlockEnd search or
+  // gallop over resolved keys. `base` and `delta` must outlive the view
+  // (GraphVersion pins both). `num_terms` must exceed every TermId of the
+  // merged set.
   TrieIndex(const TrieIndex& base, const OrderDelta& delta,
             uint32_t num_terms);
 
@@ -135,7 +138,7 @@ class TrieIndex {
   }
 
   // Range of triples whose level-0 value is `value` (empty if absent).
-  // O(1) via the CSR offsets; O(log overlay) for views.
+  // O(1) via the CSR offsets; views add two rank-directory lookups.
   Range Level0Range(TermId value) const {
     if (base_ != nullptr) return ViewLevel0Range(value);
     if (value >= num_terms_) return Range{};
@@ -163,11 +166,6 @@ class TrieIndex {
   // End of the block of equal `level` values starting at `pos`. O(1) at
   // level 0 via the CSR offsets.
   uint32_t BlockEnd(Range range, int level, uint32_t pos) const;
-
-  // Number of distinct `level` values in `range` (a depth-`level` node).
-  // O(1) at level 0 (the root node); O(d log n) for d distinct values
-  // deeper.
-  uint64_t CountDistinct(Range range, int level) const;
 
   // Bytes resident in the raw tier (the sorted Triple array). Zero after
   // CompressToBlockTier.
@@ -206,9 +204,6 @@ class TrieIndex {
   Triple ViewTripleAt(uint32_t pos) const;
   TermId ViewKeyAt(uint32_t pos, int level) const;
   Range ViewLevel0Range(TermId value) const;
-  // First merged position whose level-0 key is >= `value` (the merged CSR
-  // rank: live base triples below the base offset plus adds below value).
-  uint32_t ViewLowerBound0(TermId value) const;
   // First position in [lo, hi) whose `level` key is >= / > `value`.
   uint32_t ViewLowerBound(uint32_t lo, uint32_t hi, int level,
                           TermId value) const;

@@ -23,6 +23,7 @@
 #include "src/ola/parallel.h"
 #include "src/rdf/graph.h"
 #include "src/shard/coordinator.h"
+#include "tests/index_differential.h"
 #include "tests/test_util.h"
 
 namespace kgoa {
@@ -223,6 +224,76 @@ TEST_F(MutableGraphTest, OverlayViewEstimatesMatchCompactedRebuild) {
             .estimates;
 
     ExpectBitIdentical(via_view, via_base);
+  }
+}
+
+// Key by key, the overlay view's depth lookups, distinct counts and
+// position reads equal a from-scratch rebuild's (tests/
+// index_differential.h) on both storage tiers. The batches leave a fully
+// tombstoned (s, p) block, (s, p) pairs only the adds hold, and triples on
+// terms interned after the base build; the probes add absent keys.
+TEST_F(MutableGraphTest, OverlayViewLookupsMatchRebuildPerKey) {
+  for (const StorageTier tier : {StorageTier::kRaw, StorageTier::kBlock}) {
+    SCOPED_TRACE(tier == StorageTier::kRaw ? "raw" : "block");
+    Rng rng(23);
+    testing::RandomGraphSpec spec;
+    spec.num_property_triples = 120;
+    MutableGraph::Options options;
+    options.index_options.tier = tier;
+    MutableGraph m(testing::RandomGraph(rng, spec), options);
+    const std::vector<Triple> base = m.snapshot().graph().triples();
+    std::vector<Triple> live = base;
+
+    // Batch 1: retract the whole first (s, p) block, add pairs on a fresh
+    // subject and a fresh property, and re-add one retracted triple.
+    const Triple first = base.front();
+    std::vector<Triple> deletes;
+    for (const Triple& t : base) {
+      if (t.s == first.s && t.p == first.p) deletes.push_back(t);
+    }
+    const TermId fresh_s = m.Intern("fresh_subject");
+    const TermId fresh_p = m.Intern("fresh_property");
+    std::vector<Triple> inserts = {Triple{fresh_s, first.p, first.o},
+                                   Triple{first.s, fresh_p, first.o},
+                                   Triple{base.back().o, fresh_p, fresh_s}};
+    m.Apply(inserts, deletes);
+    // Batch 2: random flips over the base vocabulary.
+    std::vector<Triple> inserts2;
+    std::vector<Triple> deletes2;
+    for (int i = 0; i < 24; ++i) {
+      const Triple& a = base[rng.Below(base.size())];
+      const Triple& b = base[rng.Below(base.size())];
+      inserts2.push_back(Triple{a.s, b.p, a.o});
+      deletes2.push_back(base[rng.Below(base.size())]);
+    }
+    m.Apply(inserts2, deletes2);
+
+    // Reference live set: inserts first, then deletes, batch by batch.
+    for (const auto& [ins, del] :
+         {std::pair{inserts, deletes}, std::pair{inserts2, deletes2}}) {
+      live.insert(live.end(), ins.begin(), ins.end());
+      std::sort(live.begin(), live.end(), SpoLess);
+      live.erase(std::unique(live.begin(), live.end()), live.end());
+      for (const Triple& t : del) {
+        const auto it = std::lower_bound(live.begin(), live.end(), t, SpoLess);
+        if (it != live.end() && *it == t) live.erase(it);
+      }
+    }
+
+    const GraphSnapshot view = m.snapshot();
+    ASSERT_NE(view.overlay(), nullptr);
+    const Graph rebuilt = Graph::Rebase(view.graph(), live);
+    IndexSetOptions rebuilt_options;
+    rebuilt_options.tier = tier;
+    const IndexSet rebuilt_indexes(rebuilt, rebuilt_options);
+
+    std::vector<Triple> probes;
+    for (const std::vector<Triple>& source :
+         {base, live, inserts, inserts2, deletes, deletes2}) {
+      for (const Triple& t : source) testing::AddProbesAround(t, &probes);
+    }
+    EXPECT_EQ(testing::IndexSetDiff(view.indexes(), rebuilt_indexes, probes),
+              "");
   }
 }
 
