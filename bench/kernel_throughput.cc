@@ -1,14 +1,12 @@
 // Kernel ablation: scalar vs SIMD vs SIMD+batched across the hot path.
 //
-// Part 1 — microbenchmarks of the three kernel families behind the PR 8
-// dispatch layer (src/index/kernels.h), each at the forced-scalar level
-// and at the highest level the host CPU supports:
+// Part 1 — microbenchmarks of the kernel families behind the dispatch
+// layer (src/index/kernels.h), each at the forced-scalar level and at the
+// highest level the host CPU supports:
 //
-//   decode   BlockedColumn::DecodeBlock over a mixed column (FOR
-//            bit-packed and zigzag varint-delta blocks), MB/s of decoded
-//            values.
-//   seek     kernels::LowerBoundU32 over decoded 128-entry blocks — the
-//            in-block tail of every SeekGE/SeekGT — lookups/s.
+//   decode   BlockedColumn::DecodeBlock (frame-of-reference bit-unpack)
+//            over a column whose blocks span a range of bit widths, MB/s
+//            of decoded values.
 //   probe    FlatTable::Find over an LLC-sized table, serial loop vs
 //            kernels::ProbeBatch (software-prefetch pipeline), probes/s.
 //
@@ -50,22 +48,16 @@ bool BenchQuick() {
   return std::getenv("KGOA_BENCH_QUICK") != nullptr;  // NOLINT(concurrency-mt-unsafe)
 }
 
-// A column that exercises both codecs: alternating runs of narrow-band
-// values (bit-packed, with occasional outliers) and sorted small-gap
-// runs (varint-delta single-byte fast path).
-std::vector<uint32_t> MixedColumn(uint32_t n) {
+// Narrow-band values with occasional outliers, so the blocks span a
+// range of bit widths (12-bit frames, and 29-bit ones where an outlier
+// lands).
+std::vector<uint32_t> PackedColumn(uint32_t n) {
   Rng rng(99);
   std::vector<uint32_t> values(n);
-  uint32_t running = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    if ((i / kCodecBlockSize) % 2 == 0) {
-      values[i] = rng.Below(64) == 0
-                      ? (1u << 28) + static_cast<uint32_t>(rng.Below(9))
-                      : static_cast<uint32_t>(rng.Below(1u << 12));
-    } else {
-      running += static_cast<uint32_t>(rng.Below(5));
-      values[i] = running;
-    }
+    values[i] = rng.Below(64) == 0
+                    ? (1u << 28) + static_cast<uint32_t>(rng.Below(9))
+                    : static_cast<uint32_t>(rng.Below(1u << 12));
   }
   return values;
 }
@@ -84,19 +76,6 @@ double DecodeMbps(const BlockedColumn& col, int rounds) {
   if (sink == 0xdeadbeef) std::printf("(unreachable)\n");  // keep the sink
   const double bytes = static_cast<double>(col.size()) * 4.0 * rounds;
   return bytes / seconds / 1e6;
-}
-
-double SeeksPerSec(const std::vector<uint32_t>& block_vals,
-                   const std::vector<uint32_t>& probes) {
-  const auto n = static_cast<uint32_t>(block_vals.size());
-  uint64_t sink = 0;
-  Stopwatch clock;
-  for (const uint32_t v : probes) {
-    sink += kernels::LowerBoundU32(block_vals.data(), n, v);
-  }
-  const double seconds = clock.ElapsedSeconds();
-  if (sink == 0xdeadbeef) std::printf("(unreachable)\n");
-  return static_cast<double>(probes.size()) / seconds;
 }
 
 // Fixed-budget end-to-end run; returns elapsed seconds. Workers/threads
@@ -140,7 +119,7 @@ int main(int argc, char** argv) {
   // --- decode ---
   const uint32_t column_n = quick ? (1u << 18) : (1u << 20);
   const int decode_rounds = quick ? 20 : 100;
-  const std::vector<uint32_t> values = kgoa::MixedColumn(column_n);
+  const std::vector<uint32_t> values = kgoa::PackedColumn(column_n);
   const kgoa::BlockedColumn column(values.data(), column_n);
   kgoa::SetSimdLevel(kgoa::SimdLevel::kScalar);
   const double decode_scalar = kgoa::DecodeMbps(column, decode_rounds);
@@ -155,31 +134,6 @@ int main(int argc, char** argv) {
   registry.SetGauge("kernels.decode_mbps.simd", decode_simd);
   registry.SetGauge("kernels.decode_speedup", decode_speedup);
 
-  // --- in-block seek ---
-  std::vector<uint32_t> block_vals(kgoa::kCodecBlockSize);
-  kgoa::Rng rng(7);
-  uint32_t running = 0;
-  for (uint32_t& v : block_vals) {
-    running += static_cast<uint32_t>(rng.Below(1000));
-    v = running;
-  }
-  const std::size_t seek_probes = quick ? 2'000'000 : 20'000'000;
-  std::vector<uint32_t> probes(seek_probes);
-  for (uint32_t& v : probes) {
-    v = static_cast<uint32_t>(rng.Below(running + 1000));
-  }
-  kgoa::SetSimdLevel(kgoa::SimdLevel::kScalar);
-  const double seek_scalar = kgoa::SeeksPerSec(block_vals, probes);
-  kgoa::SetSimdLevel(best);
-  const double seek_simd = kgoa::SeeksPerSec(block_vals, probes);
-  const double seek_speedup = seek_scalar > 0 ? seek_simd / seek_scalar : 0.0;
-  std::printf("in-block seek: scalar %8.0f/s, %s %8.0f/s  (%.2fx)\n",
-              seek_scalar, kgoa::SimdLevelName(best), seek_simd,
-              seek_speedup);
-  registry.SetGauge("kernels.seeks_per_sec.scalar", seek_scalar);
-  registry.SetGauge("kernels.seeks_per_sec.simd", seek_simd);
-  registry.SetGauge("kernels.seek_speedup", seek_speedup);
-
   // --- batched probes ---
   const std::size_t table_entries = quick ? (1u << 20) : (1u << 22);
   kgoa::FlatTable<uint64_t, uint32_t> table(~0ull);
@@ -188,6 +142,7 @@ int main(int argc, char** argv) {
     table.InsertUnique(i * 2 + 1) = static_cast<uint32_t>(i);
   }
   const std::size_t probe_n = quick ? 2'000'000 : 8'000'000;
+  kgoa::Rng rng(7);
   std::vector<uint64_t> keys(probe_n);
   for (uint64_t& k : keys) k = rng.Below(2 * table_entries);
   uint64_t sink = 0;

@@ -1,19 +1,22 @@
 // Fuzz harness for the compressed block codec (src/index/block_codec.h).
 //
 // Decodes the input bytes into a column of values whose shape stresses
-// both codecs (narrow bands, sorted runs, outliers, wide randoms), then:
+// the frame-of-reference widths (narrow bands, sorted runs, outliers,
+// wide randoms), then:
 //
 //   * encodes and decodes the whole column, checking every value
 //     round-trips and the block directory invariants hold
-//     (decode-what-you-encode);
-//   * sorts the column and checks SeekGE/SeekGT over random windows
-//     against a linear scan of the sorted raw values, exercising the
-//     block-max skip across windows that straddle block boundaries.
+//     (decode-what-you-encode), and reads every position through the
+//     decode-free Get;
+//   * sorts the column and checks SeekGE/SeekGT against a linear scan of
+//     the sorted raw values, over random windows and over windows whose
+//     ends sit at block_begin - 1, block_begin and block_begin + 1 of the
+//     block edges, where the gallop crosses block boundaries.
 //
 // Every input runs through BOTH kernel dispatch extremes — forced scalar
 // and the highest level the host CPU supports — and the decoded blocks
 // are compared bit for bit, so the fuzzer doubles as a differential
-// harness for the SIMD decode kernels (src/index/kernels.h).
+// harness for the SIMD unpack kernels (src/index/kernels.h).
 //
 // Any disagreement aborts via KGOA_CHECK.
 #include <algorithm>
@@ -26,6 +29,16 @@
 #include "src/util/simd.h"
 
 namespace {
+
+// First position in [from, end) of sorted `values` that is >= v
+// (strict: > v), by linear scan.
+uint32_t LinearSeek(const std::vector<uint32_t>& values, uint32_t from,
+                    uint32_t end, uint32_t v, bool strict) {
+  for (uint32_t i = from; i < end; ++i) {
+    if (strict ? values[i] > v : values[i] >= v) return i;
+  }
+  return end;
+}
 
 // Decodes every block at the given dispatch level into one flat vector.
 std::vector<uint32_t> DecodeAll(const kgoa::BlockedColumn& col,
@@ -69,7 +82,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
         running += byte() % 9;
         values[i] = running;
         break;
-      case 2:  // mostly narrow with fuzzed outliers (FOR poison)
+      case 2:  // mostly narrow with fuzzed outliers (wide frames)
         values[i] = byte() == 0 ? word() : byte() % 64;
         break;
       default:  // raw fuzzed words
@@ -79,7 +92,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
   }
 
   // Decode-what-you-encode: full directory + payload audit against the
-  // source values, then point reads through the decode cache.
+  // source values, then a point read at every position.
   const kgoa::BlockedColumn col(values.data(), n);
   KGOA_CHECK(col.size() == n);
   col.CheckInvariants(values.data());
@@ -112,29 +125,30 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
     const uint32_t v = (probe % 4 == 0)
                            ? word()
                            : values[word() % n] + byte() % 3 - 1;
-    uint32_t linear_ge = end;
-    for (uint32_t i = from; i < end; ++i) {
-      if (values[i] >= v) {
-        linear_ge = i;
-        break;
+    KGOA_CHECK(sorted.SeekGE(from, end, v) ==
+               LinearSeek(values, from, end, v, false));
+    KGOA_CHECK(sorted.SeekGT(from, end, v) ==
+               LinearSeek(values, from, end, v, true));
+  }
+
+  // Windows anchored at block edges: for each edge, the window starts at
+  // edge - 1, edge or edge + 1 and ends at the same offset from a fuzzed
+  // later edge (or the column end).
+  const uint32_t num_edges = (n - 1) / kgoa::kCodecBlockSize;
+  for (uint32_t e = 1; e <= num_edges; ++e) {
+    const uint32_t edge = e * kgoa::kCodecBlockSize;
+    const uint32_t later =
+        std::min(n, (e + byte() % 3) * kgoa::kCodecBlockSize);
+    for (const uint32_t from : {edge - 1, edge, edge + 1}) {
+      for (const uint32_t end : {later - 1, later, later + 1}) {
+        if (from > end || end > n) continue;
+        const uint32_t v = values[word() % n] + byte() % 3 - 1;
+        KGOA_CHECK(sorted.SeekGE(from, end, v) ==
+                   LinearSeek(values, from, end, v, false));
+        KGOA_CHECK(sorted.SeekGT(from, end, v) ==
+                   LinearSeek(values, from, end, v, true));
       }
     }
-    uint32_t linear_gt = end;
-    for (uint32_t i = from; i < end; ++i) {
-      if (values[i] > v) {
-        linear_gt = i;
-        break;
-      }
-    }
-    // Both dispatch extremes of the in-block lower-bound kernel must
-    // agree with the linear scan.
-    for (const kgoa::SimdLevel level :
-         {kgoa::SimdLevel::kScalar, kgoa::MaxSupportedSimdLevel()}) {
-      kgoa::SetSimdLevel(level);
-      KGOA_CHECK(sorted.SeekGE(from, end, v) == linear_ge);
-      KGOA_CHECK(sorted.SeekGT(from, end, v) == linear_gt);
-    }
-    kgoa::SetSimdLevel(entry_level);
   }
   return 0;
 }

@@ -12,9 +12,9 @@
 #   BENCH_index.json  `index_trace` from index_memory — raw vs block
 #                     storage-tier bytes and top-K time-to-displayed-chart.
 #   BENCH_kernels.json `kernel_trace` from kernel_throughput — the SIMD
-#                     kernel ablation: decode MB/s, in-block seeks/s and
-#                     hash probes/s scalar vs vectorized, plus end-to-end
-#                     time-to-CI scalar vs SIMD vs SIMD+batched walks.
+#                     kernel ablation: decode MB/s and hash probes/s
+#                     scalar vs vectorized, plus end-to-end time-to-CI
+#                     scalar vs SIMD vs SIMD+batched walks.
 #   BENCH_update.json `update_trace` from update_load — time-to-CI and
 #                     MAE on a pinned snapshot while a writer applies
 #                     0% / 1% / 10% write mixes, plus compaction cost.
@@ -188,16 +188,13 @@ require(kernels_path, kernels, {
     "kernels.default_batch_walks",
 }, {
     "kernels.decode_mbps.scalar", "kernels.decode_mbps.simd",
-    "kernels.decode_speedup", "kernels.seeks_per_sec.scalar",
-    "kernels.seeks_per_sec.simd", "kernels.seek_speedup",
-    "kernels.probes_per_sec.serial", "kernels.probes_per_sec.batched",
+    "kernels.decode_speedup", "kernels.probes_per_sec.serial", "kernels.probes_per_sec.batched",
     "kernels.probe_speedup", "kernels.e2e_seconds.scalar",
     "kernels.e2e_seconds.simd", "kernels.e2e_seconds.simd_batched",
     "kernels.e2e_walks_per_sec.simd_batched", "kernels.e2e_speedup",
 })
 print(f"bench_json.sh: wrote {kernels_path} "
       f"(decode {kernels['gauges']['kernels.decode_speedup']:.2f}x, "
-      f"in-block seek {kernels['gauges']['kernels.seek_speedup']:.2f}x, "
       f"end-to-end {kernels['gauges']['kernels.e2e_speedup']:.2f}x "
       f"time-to-CI)")
 

@@ -90,6 +90,15 @@ Rules (see DESIGN.md, "Correctness tooling" and §11):
                          base range into merged positions; the registry's
                          memory accounting, which reads entry counts only,
                          carries a `kgoa-lint: allow(hash-bypass)` note.
+  block-decode           No BlockedColumn::DecodeBlock() or
+                         kernels::UnpackBits() call in src/ outside
+                         src/index/block_codec.cc: block-tier reads come
+                         straight from the packed bytes (one directory
+                         load plus one payload load per value), and a
+                         whole-block decode on a query path is the 128x
+                         work the decode-free tier removed. The audits,
+                         the fuzzer and the kernel benchmark (outside
+                         src/) may decode.
 
 Suppression: append `// kgoa-lint: allow(<rule>[, <rule>...])` on the
 offending line or the line directly above, with a reason. Exits 1 when any
@@ -158,6 +167,18 @@ RAW_GRAPH_RETAIN_RE = re.compile(
 
 # A call of IndexSet::Hash (through an object or a pointer).
 HASH_CALL_RE = re.compile(r"(?:\.|->)Hash\s*\(")
+
+# A whole-block decode: BlockedColumn::DecodeBlock or the unpack kernel.
+BLOCK_DECODE_RE = re.compile(r"\b(DecodeBlock|UnpackBits)\s*\(")
+# Text before a declared (not called) name: a type, then the name's
+# optional qualifier, e.g. `uint32_t BlockedColumn::` or `void `.
+DECL_PREFIX_RE = re.compile(r"([A-Za-z_]\w*)[\s*&>]+(?:\w+::)*$")
+NOT_A_TYPE = {"return", "co_return", "else", "case"}
+
+
+def is_declaration(prefix: str) -> bool:
+    m = DECL_PREFIX_RE.search(prefix)
+    return m is not None and m.group(1) not in NOT_A_TYPE
 
 # x86 SIMD surface: the intrinsic headers and the _mm*/__m* value types.
 INTRINSIC_INCLUDE_RE = re.compile(
@@ -449,6 +470,16 @@ class Linter:
                           "space, which an overlay view shifts; use "
                           "IndexSet::Depth1/Depth2/Ndv2")
 
+            # block-decode: src only, outside the codec that owns the
+            # decode (its CheckInvariants audit is the one caller).
+            if in_src and rel != "src/index/block_codec.cc":
+                m = BLOCK_DECODE_RE.search(line)
+                if m and not is_declaration(line[:m.start()]):
+                    check("block-decode", i,
+                          f"{m.group(1)}() decodes a whole block; query "
+                          "paths read packed values in place through "
+                          "BlockedColumn::Get/SeekGE/SeekGT")
+
             if in_hot:
                 if re.search(r"\bunordered_(map|set)\b", line):
                     check("unordered-in-hot-path", i,
@@ -627,6 +658,24 @@ def self_test() -> int:
          "std::size_t h = TripleHash()(t);\n", set()),
         ("depth helpers pass", "src/core/foo.cc",
          "Range r = indexes.Depth2(order, a, b);\n", set()),
+        ("block decode on a query path", "src/index/trie_index.cc",
+         "const uint32_t n = cols_[level].DecodeBlock(b, vals);\n",
+         {"block-decode"}),
+        ("unpack kernel outside the codec", "src/core/audit.cc",
+         "kernels::UnpackBits(p, end, count, base, width, out);\n",
+         {"block-decode"}),
+        ("codec may decode for its audit", "src/index/block_codec.cc",
+         "const uint32_t count = DecodeBlock(b, vals);\n"
+         "kernels::UnpackBits(p, end, n, min, width, out.data());\n", set()),
+        ("tests and benches may decode", "tests/foo_test.cc",
+         "const uint32_t count = col.DecodeBlock(b, vals);\n", set()),
+        ("declaration in a comment is fine", "src/index/kernels.h",
+         "// DecodeBlock(b, out) unpacks one block\nint x = 0;\n", set()),
+        ("declarations and definitions are not calls", "src/index/kernels.cc",
+         "void UnpackBits(const uint8_t* in, uint32_t n);\n"
+         "uint32_t BlockedColumn::DecodeBlock(uint32_t block,\n", set()),
+        ("returned decode is a call", "src/index/foo.cc",
+         "  return DecodeBlock(b, vals);\n", {"block-decode"}),
         ("existing rule still fires", "src/foo/bar.cc",
          "assert(x > 0);\n", {"bare-assert"}),
         ("raw thread still fires", "tests/foo_test.cc",

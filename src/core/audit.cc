@@ -122,8 +122,8 @@ bool AuditJoin::EnumerateRemaining(int q, std::span<TermId> state,
         group_filter_->Pruned(state[plan_.alpha_slot()])) {
       // Pruned group: none of its completions can enter the displayed
       // chart. When the group value is the first free trie level, hop
-      // over the whole equal-group run (block-max skips in the block
-      // tier); otherwise just drop this position's subtree.
+      // over the whole equal-group run (one galloping BlockEnd);
+      // otherwise just drop this position's subtree.
       if (alpha_enum_level_ >= 0) {
         pos = index.BlockEnd(range, alpha_enum_level_, pos) - 1;
       }

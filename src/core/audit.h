@@ -119,7 +119,7 @@ class AuditJoin {
   // value is bound to a pruned group end immediately with a zero
   // contribution, and tipped enumerations skip whole equal-group runs
   // when the group component is the first free trie level of the
-  // recording step's access path (block-max hops in the block tier).
+  // recording step's access path (one galloping BlockEnd per run).
   // Estimates for pruned groups decay — callers only enable this when
   // those groups can no longer enter the displayed chart.
   void SetGroupFilter(std::shared_ptr<const GroupFilter> filter) {

@@ -8,7 +8,6 @@
 
 #include "src/core/audit.h"
 #include "src/core/mutable_graph.h"
-#include "src/index/block_codec.h"
 #include "src/index/index_set.h"
 #include "src/index/kernels.h"
 #include "src/ola/wander.h"
@@ -256,8 +255,6 @@ void ExportSimdMetrics(std::string_view prefix, MetricsRegistry* registry) {
   registry->SetCounter(p + "level." + SimdLevelName(level), 1);
   registry->SetCounter(p + "probe_prefetch_depth",
                        kernels::kProbePrefetchDepth);
-  registry->SetCounter(p + "decode_cache_hits", t_decode_cache.hits);
-  registry->SetCounter(p + "decode_cache_misses", t_decode_cache.misses);
 }
 
 std::string SnapshotJson(const OlaSnapshot& snapshot) {

@@ -97,10 +97,8 @@ void ExportIndexProbeCounters(std::string_view prefix,
 
 // Kernel-layer export ("simd." by convention): the resolved dispatch
 // level (`level` = 0 scalar / 1 sse4.2 / 2 avx2, with the name mirrored
-// as `level.<name>` = 1 so text dumps stay self-describing), the probe
-// pipeline's software-prefetch depth, and the calling thread's
-// block decode-cache hits/misses (src/index/block_codec.h — thread-local
-// for the same reason as the probe counters).
+// as `level.<name>` = 1 so text dumps stay self-describing) and the
+// probe pipeline's software-prefetch depth.
 void ExportSimdMetrics(std::string_view prefix, MetricsRegistry* registry);
 
 // One-line JSON form of a live parallel-run snapshot — one line per

@@ -1,68 +1,13 @@
 #include "src/index/block_codec.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "src/index/kernels.h"
-#include "src/util/contract.h"
 
 namespace kgoa {
 
 namespace {
-
-// Process-wide monotonic column id: never reused, so a stale decode-cache
-// entry can never be mistaken for a block of a newer column.
-std::atomic<uint64_t> g_next_column_id{1};
-
-// Column ids occupy the key bits above the block index; 2^26 blocks cover
-// the largest column a 32-bit position space can address.
-constexpr uint32_t kBlockIndexBits = 26;
-
-constexpr uint32_t kDecodeCacheSlots = 16;  // power of two
-
-struct DecodeCacheEntry {
-  uint64_t key = ~0ull;
-  // 32-byte alignment: the AVX2 unpack kernels store whole vector lanes,
-  // and an aligned buffer keeps every store within one cache line pair.
-  alignas(32) uint32_t vals[kCodecBlockSize];
-};
-
-thread_local DecodeCacheEntry g_decode_cache[kDecodeCacheSlots];
-
-uint32_t CacheSlot(uint64_t key) {
-  return static_cast<uint32_t>((key * 0x9e3779b97f4a7c15ULL) >>
-                               (64 - std::bit_width(kDecodeCacheSlots - 1)));
-}
-
-// Zigzag maps signed deltas onto small unsigned ints (0,-1,1,-2,... ->
-// 0,1,2,3,...) so LEB128 stays short for deltas of either sign.
-uint64_t ZigzagEncode(int64_t d) {
-  return (static_cast<uint64_t>(d) << 1) ^ static_cast<uint64_t>(d >> 63);
-}
-
-uint32_t VarintLength(uint64_t z) {
-  return 1 + (63 - static_cast<uint32_t>(std::countl_zero(z | 1))) / 7;
-}
-
-void AppendVarint(uint64_t z, std::vector<uint8_t>& out) {
-  while (z >= 0x80) {
-    out.push_back(static_cast<uint8_t>(z) | 0x80);
-    z >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(z));
-}
-
-// Encoded size of `count` values as zigzag varint deltas seeded at `min`.
-uint64_t VarintDeltaBytes(const uint32_t* v, uint32_t count, uint32_t min) {
-  uint64_t bytes = 0;
-  int64_t prev = min;
-  for (uint32_t i = 0; i < count; ++i) {
-    bytes += VarintLength(ZigzagEncode(static_cast<int64_t>(v[i]) - prev));
-    prev = v[i];
-  }
-  return bytes;
-}
 
 void AppendBitPacked(const uint32_t* v, uint32_t count, uint32_t base,
                      uint8_t width, std::vector<uint8_t>& out) {
@@ -80,51 +25,61 @@ void AppendBitPacked(const uint32_t* v, uint32_t count, uint32_t base,
   if (bits > 0) out.push_back(static_cast<uint8_t>(acc));
 }
 
-void AppendVarintDelta(const uint32_t* v, uint32_t count, uint32_t min,
-                       std::vector<uint8_t>& out) {
-  int64_t prev = min;
-  for (uint32_t i = 0; i < count; ++i) {
-    AppendVarint(ZigzagEncode(static_cast<int64_t>(v[i]) - prev), out);
-    prev = v[i];
+// First position in [from, end) of `col` whose value fails `before` (a
+// predicate true on a prefix of the window): gallop, then bisect.
+template <typename Before>
+uint32_t Gallop(const BlockedColumn& col, uint32_t from, uint32_t end,
+                Before before) {
+  KGOA_DCHECK_LE(from, end);
+  KGOA_DCHECK_LE(end, col.size());
+  if (from == end || !before(col.Get(from))) return from;
+  // Doubling steps from `from`; invariant: before(col.Get(lo)).
+  uint64_t lo = from;
+  uint64_t step = 1;
+  while (lo + step < end &&
+         before(col.Get(static_cast<uint32_t>(lo + step)))) {
+    lo += step;
+    step <<= 1;
   }
+  // Bisect: the answer is past lo and at most `last`.
+  auto first = static_cast<uint32_t>(lo + 1);
+  auto last = static_cast<uint32_t>(std::min<uint64_t>(end, lo + step));
+  while (first < last) {
+    const uint32_t mid = first + (last - first) / 2;
+    if (before(col.Get(mid))) {
+      first = mid + 1;
+    } else {
+      last = mid;
+    }
+  }
+  return first;
 }
 
 }  // namespace
 
-BlockedColumn::BlockedColumn(const uint32_t* values, uint32_t n)
-    : column_id_(g_next_column_id.fetch_add(1, std::memory_order_relaxed)),
-      size_(n) {
+BlockedColumn::BlockedColumn(const uint32_t* values, uint32_t n) : size_(n) {
+  // Directory first, so the payload is allocated once at its exact size.
   directory_.reserve((n + kCodecBlockSize - 1) / kCodecBlockSize);
+  uint64_t bytes = 0;
   for (uint32_t begin = 0; begin < n; begin += kCodecBlockSize) {
     const uint32_t count = std::min(kCodecBlockSize, n - begin);
-    const uint32_t* block = values + begin;
     const auto [min_it, max_it] =
-        std::minmax_element(block, block + count);
+        std::minmax_element(values + begin, values + begin + count);
     BlockMeta meta;
-    meta.byte_offset = payload_.size();
+    meta.byte_offset = bytes;
     meta.min = *min_it;
-    meta.max = *max_it;
     meta.count = static_cast<uint16_t>(count);
-    meta.bit_width = static_cast<uint8_t>(std::bit_width(meta.max - meta.min));
-    const uint64_t packed_bytes =
-        (static_cast<uint64_t>(count) * meta.bit_width + 7) / 8;
-    const uint64_t varint_bytes = VarintDeltaBytes(block, count, meta.min);
-    // Decode-cost-aware selection: bit-packed blocks unpack branch-free
-    // at a fixed stride (the vector kernels sustain several times the
-    // varint decode rate), while varint-delta parsing is serial in the
-    // worst case. Spend that speed only when varint saves a meaningful
-    // fraction of the block — it must come in under 3/4 of the packed
-    // size, not merely under it.
-    if (varint_bytes * 4 < packed_bytes * 3) {
-      meta.encoding = BlockEncoding::kVarintDelta;
-      AppendVarintDelta(block, count, meta.min, payload_);
-    } else {
-      meta.encoding = BlockEncoding::kBitPacked;
-      AppendBitPacked(block, count, meta.min, meta.bit_width, payload_);
-    }
+    meta.bit_width = static_cast<uint8_t>(std::bit_width(*max_it - *min_it));
+    bytes += (static_cast<uint64_t>(count) * meta.bit_width + 7) / 8;
     directory_.push_back(meta);
   }
-  payload_.shrink_to_fit();
+  payload_.reserve(bytes + kPayloadPadding);
+  for (uint32_t b = 0; b < num_blocks(); ++b) {
+    const BlockMeta& meta = directory_[b];
+    AppendBitPacked(values + b * kCodecBlockSize, meta.count, meta.min,
+                    meta.bit_width, payload_);
+  }
+  payload_.resize(bytes + kPayloadPadding, 0);
 }
 
 uint32_t BlockedColumn::DecodeBlock(uint32_t block,
@@ -134,89 +89,18 @@ uint32_t BlockedColumn::DecodeBlock(uint32_t block,
   // final block — see the header comment.
   KGOA_CHECK_GE(out.size(), kCodecBlockSize);
   const BlockMeta& meta = directory_[block];
-  const uint8_t* p = payload_.data() + meta.byte_offset;
-  const uint8_t* payload_end = payload_.data() + payload_.size();
-  const uint32_t count = meta.count;
-  if (meta.encoding == BlockEncoding::kBitPacked) {
-    kernels::UnpackBits(p, payload_end, count, meta.min, meta.bit_width,
-                        out.data());
-  } else {
-    // The encoded byte length (next block's offset delta) is what enables
-    // the kernel's all-single-byte vector fast path.
-    const uint64_t bytes =
-        (block + 1 < num_blocks() ? directory_[block + 1].byte_offset
-                                  : payload_.size()) -
-        meta.byte_offset;
-    kernels::DecodeVarintDelta(p, bytes, count, meta.min, out.data());
-  }
-  return count;
-}
-
-const uint32_t* BlockedColumn::CachedBlock(uint32_t block) const {
-  KGOA_DCHECK_LT(block, 1u << kBlockIndexBits);
-  const uint64_t key = (column_id_ << kBlockIndexBits) | block;
-  DecodeCacheEntry& entry = g_decode_cache[CacheSlot(key)];
-  if (entry.key != key) {
-    ++t_decode_cache.misses;
-    DecodeBlock(block, entry.vals);
-    entry.key = key;
-  } else {
-    ++t_decode_cache.hits;
-  }
-  return entry.vals;
-}
-
-uint32_t BlockedColumn::Get(uint32_t pos) const {
-  KGOA_DCHECK_LT(pos, size_);
-  return CachedBlock(pos / kCodecBlockSize)[pos % kCodecBlockSize];
+  kernels::UnpackBits(payload_.data() + meta.byte_offset,
+                      payload_.data() + payload_.size(), meta.count, meta.min,
+                      meta.bit_width, out.data());
+  return meta.count;
 }
 
 uint32_t BlockedColumn::SeekGE(uint32_t from, uint32_t end, uint32_t v) const {
-  KGOA_DCHECK_LE(from, end);
-  KGOA_DCHECK_LE(end, size_);
-  while (from < end) {
-    const uint32_t block = from / kCodecBlockSize;
-    const BlockMeta& meta = directory_[block];
-    const uint32_t block_begin = block * kCodecBlockSize;
-    const uint32_t block_end =
-        std::min<uint32_t>(block_begin + meta.count, end);
-    if (meta.max < v) {
-      // Block-max skip: the bound covers every value in the block, so no
-      // in-window value can reach v regardless of trie-node straddling.
-      from = block_end;
-      continue;
-    }
-    const uint32_t* vals = CachedBlock(block);
-    const uint32_t lo = from - block_begin;
-    const uint32_t offset =
-        lo + kernels::LowerBoundU32(vals + lo, (block_end - block_begin) - lo, v);
-    if (offset < block_end - block_begin) return block_begin + offset;
-    from = block_end;
-  }
-  return end;
+  return Gallop(*this, from, end, [v](uint32_t x) { return x < v; });
 }
 
 uint32_t BlockedColumn::SeekGT(uint32_t from, uint32_t end, uint32_t v) const {
-  KGOA_DCHECK_LE(from, end);
-  KGOA_DCHECK_LE(end, size_);
-  while (from < end) {
-    const uint32_t block = from / kCodecBlockSize;
-    const BlockMeta& meta = directory_[block];
-    const uint32_t block_begin = block * kCodecBlockSize;
-    const uint32_t block_end =
-        std::min<uint32_t>(block_begin + meta.count, end);
-    if (meta.max <= v) {
-      from = block_end;
-      continue;
-    }
-    const uint32_t* vals = CachedBlock(block);
-    const uint32_t lo = from - block_begin;
-    const uint32_t offset =
-        lo + kernels::UpperBoundU32(vals + lo, (block_end - block_begin) - lo, v);
-    if (offset < block_end - block_begin) return block_begin + offset;
-    from = block_end;
-  }
-  return end;
+  return Gallop(*this, from, end, [v](uint32_t x) { return x <= v; });
 }
 
 void BlockedColumn::CheckInvariants(const uint32_t* expected) const {
@@ -228,7 +112,6 @@ void BlockedColumn::CheckInvariants(const uint32_t* expected) const {
     KGOA_CHECK_EQ(meta.byte_offset, next_offset);
     KGOA_CHECK_GT(meta.count, 0u);
     KGOA_CHECK_LE(meta.count, kCodecBlockSize);
-    KGOA_CHECK_LE(meta.min, meta.max);
     const uint32_t count = DecodeBlock(b, vals);
     KGOA_CHECK_EQ(count, meta.count);
     uint32_t lo = vals[0];
@@ -241,17 +124,14 @@ void BlockedColumn::CheckInvariants(const uint32_t* expected) const {
       }
     }
     KGOA_CHECK_EQ(lo, meta.min);
-    KGOA_CHECK_EQ(hi, meta.max);
-    if (meta.encoding == BlockEncoding::kBitPacked) {
-      next_offset +=
-          (static_cast<uint64_t>(count) * meta.bit_width + 7) / 8;
-    } else {
-      next_offset += VarintDeltaBytes(vals, count, meta.min);
-    }
+    KGOA_CHECK_EQ(static_cast<uint32_t>(meta.bit_width),
+                  static_cast<uint32_t>(std::bit_width(hi - lo)));
+    next_offset += (static_cast<uint64_t>(count) * meta.bit_width + 7) / 8;
     total += count;
   }
   KGOA_CHECK_EQ(total, size_);
-  KGOA_CHECK_EQ(next_offset, payload_.size());
+  // Exact: the packed bytes plus the padding every Get load relies on.
+  KGOA_CHECK_EQ(payload_.size(), next_offset + kPayloadPadding);
 }
 
 }  // namespace kgoa

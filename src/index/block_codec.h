@@ -1,69 +1,55 @@
 // Compressed block storage for one trie-level column of TermIds.
 //
 // A BlockedColumn splits a column of n values into 128-entry blocks and
-// encodes each block independently with whichever of two codecs is
-// smaller for that block:
+// frame-of-reference bit-packs each one: every value is stored as
+// (v - block min) in ceil(log2(max - min + 1)) bits, LSB-first, so a
+// block whose values cluster in a narrow band (level-1/2 columns inside
+// a large trie node) packs tightly and a constant block costs 0 bits.
 //
-//   frame-of-reference bit-packing — every value stored as (v - min) in
-//       ceil(log2(max - min + 1)) bits, LSB-first; the natural winner for
-//       blocks whose values cluster in a narrow band (level-1/2 columns
-//       inside a large trie node), and free (0 bits) for constant blocks;
-//   zigzag varint-delta — LEB128 of the zigzag-mapped delta from the
-//       previous value (the block minimum seeds the chain); the winner for
-//       sorted runs with small gaps (the level-0 column, deep columns with
-//       many short node runs) where a single outlier would blow up the
-//       frame-of-reference width.
+// A flat directory holds per-block metadata {byte offset, min, count,
+// bit width}, 16 bytes per block. Because every block has a fixed
+// width, value i of a block starts at bit i * width of its bytes: a
+// point read is one directory load plus one unaligned 8-byte payload
+// load, a shift, a mask and an add, with no block decode. The payload
+// carries kPayloadPadding zero bytes past the last packed byte so that
+// load never leaves the buffer. Seeks gallop from the cursor over point
+// reads and bisect the final window, O(log d) reads for a hop of
+// distance d, exactly as the raw tier gallops over its triple array.
 //
-// A flat directory holds per-block metadata {min, max, count, byte
-// offset, encoding, bit width}. The min/max bounds double as block-max
-// skip data for seeks: a block whose max is below the sought value can be
-// skipped without decoding no matter how the block straddles trie-node
-// boundaries, because the bound covers every value in the block.
-//
-// Random access decodes through a small per-thread direct-mapped cache of
-// decoded blocks keyed by (column id, block index) — the column id is
-// allocated from a process-wide monotonic counter precisely so a cache
-// entry can never alias a different column that happens to reuse a freed
-// column's address.
+// DecodeBlock unpacks a whole block through the SIMD kernel; it serves
+// the audits (CheckInvariants), the fuzzer and the kernel benchmark, and
+// is on no query path (scripts/kgoa_lint.py `block-decode`).
 #ifndef KGOA_INDEX_BLOCK_CODEC_H_
 #define KGOA_INDEX_BLOCK_CODEC_H_
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
 #include "src/rdf/types.h"
+#include "src/util/contract.h"
 
 namespace kgoa {
 
-// Per-thread decoded-block cache statistics, exported into the metrics
-// registry ("simd.decode_cache_*"). Thread-local for the same reason as
-// IndexProbeCounters: the decode path must never touch a shared cache
-// line.
-struct DecodeCacheCounters {
-  uint64_t hits = 0;    // CachedBlock served without decoding
-  uint64_t misses = 0;  // CachedBlock had to decode (cold or evicted)
-
-  void Reset() { *this = DecodeCacheCounters{}; }
-};
-
-inline thread_local DecodeCacheCounters t_decode_cache;
-
-// Values per block. 128 keeps the decoded block in two cache lines'
-// worth of directory strides and makes pos <-> block arithmetic shifts.
+// Values per block. 128 makes pos <-> block arithmetic shifts and keeps
+// the directory at 1 bit per value.
 inline constexpr uint32_t kCodecBlockSize = 128;
 
-enum class BlockEncoding : uint8_t { kBitPacked = 0, kVarintDelta = 1 };
+// Zero bytes appended after the last packed byte: a point read loads 8
+// bytes starting at the byte that holds its value's first bit, which is
+// never past the unpadded end.
+inline constexpr uint32_t kPayloadPadding = 8;
 
-// Per-block directory entry. 24 bytes per 128 values (~1.5 bits/value).
+// Per-block directory entry. 16 bytes per 128 values (1 bit/value), so
+// four entries share a cache line and none straddles two.
 struct BlockMeta {
   uint64_t byte_offset = 0;  // start of the block's bytes in the payload
   TermId min = 0;            // smallest value in the block (FOR base)
-  TermId max = 0;            // largest value in the block (skip bound)
-  uint16_t count = 0;        // values in the block (kCodecBlockSize except last)
-  BlockEncoding encoding = BlockEncoding::kBitPacked;
-  uint8_t bit_width = 0;     // FOR width; unused for varint-delta
+  uint16_t count = 0;        // values in the block (128 except the last)
+  uint8_t bit_width = 0;     // bits per packed value, 0..32
 };
+static_assert(sizeof(BlockMeta) == 16);
 
 class BlockedColumn {
  public:
@@ -86,51 +72,60 @@ class BlockedColumn {
     return directory_[block];
   }
 
-  // Value at `pos`, through the thread-local decoded-block cache.
-  uint32_t Get(uint32_t pos) const;
+  // Value at `pos`, read straight from the packed bytes.
+  uint32_t Get(uint32_t pos) const {
+    KGOA_DCHECK_LT(pos, size_);
+    const BlockMeta& meta = directory_[pos / kCodecBlockSize];
+    if (meta.bit_width == 0) return meta.min;
+    const uint64_t bit =
+        static_cast<uint64_t>(pos % kCodecBlockSize) * meta.bit_width;
+    uint64_t word;
+    std::memcpy(&word, payload_.data() + meta.byte_offset + bit / 8,
+                sizeof(word));
+    // bit % 8 <= 7 plus a width <= 32 fits the 64-bit word.
+    const uint64_t mask = (uint64_t{1} << meta.bit_width) - 1;
+    return meta.min + static_cast<uint32_t>((word >> (bit % 8)) & mask);
+  }
 
-  // Hints the encoded bytes of the block containing `pos` — what a decode
-  // miss will read. Issued by batched walk loops a prefetch window ahead
-  // of the corresponding Get; a hit in the decoded-block cache simply
-  // ignores the hinted line.
+  // Hints the payload cache line holding the value at `pos` — the line
+  // Get(pos) will load. Issued by batched walk loops a prefetch window
+  // ahead of the corresponding Get.
   void PrefetchBlock(uint32_t pos) const {
     const BlockMeta& meta = directory_[pos / kCodecBlockSize];
-    __builtin_prefetch(payload_.data() + meta.byte_offset, /*rw=*/0,
-                       /*locality=*/1);
+    const uint64_t bit =
+        static_cast<uint64_t>(pos % kCodecBlockSize) * meta.bit_width;
+    __builtin_prefetch(payload_.data() + meta.byte_offset + bit / 8,
+                       /*rw=*/0, /*locality=*/1);
   }
 
   // Decodes block `block` into out[0..count); returns count. The span
   // must have capacity for a FULL block (contract-checked against
-  // kCodecBlockSize even for a short final block): every caller that
-  // decodes one block today decodes another tomorrow, and the capacity
-  // contract is what lets the decode kernels and the thread-local cache
-  // treat a block buffer as a fixed-size, 32-byte-alignable unit.
+  // kCodecBlockSize even for a short final block), so the unpack kernel
+  // can treat a block buffer as a fixed-size unit. Audits, fuzzing and
+  // benchmarks only: query paths read through Get.
   uint32_t DecodeBlock(uint32_t block, std::span<uint32_t> out) const;
 
   // First position in [from, end) whose value is >= v. The caller must
-  // guarantee values[from..end) is sorted ascending (a trie-node window);
-  // blocks whose directory max is below v are skipped without decoding.
+  // guarantee values[from..end) is sorted ascending (a trie-node window).
+  // Gallops from `from`, so a hop of distance d costs O(log d) reads.
   uint32_t SeekGE(uint32_t from, uint32_t end, uint32_t v) const;
 
   // First position in [from, end) whose value is > v, same contract.
   uint32_t SeekGT(uint32_t from, uint32_t end, uint32_t v) const;
 
-  // Encoded payload plus directory bytes.
+  // Packed payload (padding included) plus directory bytes.
   uint64_t MemoryBytes() const {
     return static_cast<uint64_t>(payload_.size()) +
            static_cast<uint64_t>(directory_.size()) * sizeof(BlockMeta);
   }
 
-  // Full decode audit: every block round-trips, directory min/max/count
-  // match the decoded values, offsets are monotone. O(n); tests and fuzz
-  // harnesses only.
+  // Full decode audit: every block round-trips, each directory entry's
+  // count, min and bit width match its decoded values, offsets are
+  // contiguous and the payload is exactly the packed bytes plus
+  // kPayloadPadding. O(n); tests and fuzz harnesses only.
   void CheckInvariants(const uint32_t* expected = nullptr) const;
 
  private:
-  // Decoded view of `block`, served from the per-thread cache.
-  const uint32_t* CachedBlock(uint32_t block) const;
-
-  uint64_t column_id_ = 0;  // process-wide monotonic; decode-cache key
   uint32_t size_ = 0;
   std::vector<BlockMeta> directory_;
   std::vector<uint8_t> payload_;

@@ -294,10 +294,23 @@ class ShardedFlatTable {
   }
 
   const Shard& ShardOf(uint64_t mixed) const {
-    return shards_[shard_bits_ == 0 ? 0 : mixed >> (64 - shard_bits_)];
+    return *ShardAt(shards_.data(), mixed);
   }
-  Shard& ShardOf(uint64_t mixed) {
-    return shards_[shard_bits_ == 0 ? 0 : mixed >> (64 - shard_bits_)];
+  Shard& ShardOf(uint64_t mixed) { return *ShardAt(shards_.data(), mixed); }
+
+  // The shard slot for a mixed hash, with its bounds spelled out for the
+  // optimizer: the index is below shards_.size() == 2^shard_bits_ and the
+  // slot is a live element, never null. Without the hint GCC 12 under
+  // -fsanitize=undefined keeps the sanitizer's null-reference branch,
+  // isolates it as a path that writes the shard's counters at address
+  // 0 + offset, and reports a false -Wstringop-overflow on that path.
+  template <typename S>
+  S* ShardAt(S* shards, uint64_t mixed) const {
+    const auto i = static_cast<std::size_t>(
+        shard_bits_ == 0 ? 0 : mixed >> (64 - shard_bits_));
+    S* shard = shards + i;
+    if (i >= shards_.size() || shard == nullptr) __builtin_unreachable();
+    return shard;
   }
 
   void InstallFreshArray(Shard& shard) KGOA_REQUIRES(shard.mutex) {

@@ -1,14 +1,15 @@
 // SIMD kernel layer for the index hot path.
 //
-// Three data-plane primitives dominate the walk inner loop after PR 7:
-// block decode (frame-of-reference bit-unpack and zigzag varint-delta),
-// sorted search inside a decoded 128-entry block (the tail of every
-// SeekGE/SeekGT and the galloping tails on the raw tier), and hash-table
-// probes issued one walk at a time. This header is the single entry point
-// for all three, each dispatched at runtime over scalar / SSE4.2 / AVX2
-// implementations (src/util/simd.h picks the level once from cpuid and
-// KGOA_SIMD; the scalar path is the portable fallback and the
-// differential-test baseline).
+// Three data-plane primitives live here: frame-of-reference bit-unpack
+// of a whole 128-entry block (BlockedColumn::DecodeBlock — the block-tier
+// audits, the codec fuzzer and bench/kernel_throughput; query paths read
+// packed values in place and never decode), the strided sorted search
+// that finishes every raw-tier seek, and hash-table probes issued one
+// walk at a time. This header is the single entry point for all three,
+// each dispatched at runtime over scalar / SSE4.2 / AVX2 implementations
+// (src/util/simd.h picks the level once from cpuid and KGOA_SIMD; the
+// scalar path is the portable fallback and the differential-test
+// baseline).
 //
 // Every kernel is a pure function of its inputs: the differential suites
 // (tests/kernels_test.cc) and the block-codec fuzzer run identical inputs
@@ -43,34 +44,19 @@ namespace kernels {
 void UnpackBits(const uint8_t* in, const uint8_t* in_end, uint32_t count,
                 uint32_t base, uint32_t width, uint32_t* out);
 
-// Zigzag varint-delta prefix decode: `count` LEB128 zigzag deltas seeded
-// at `base` (the block minimum), occupying exactly `bytes` encoded bytes.
-// The byte length is what enables the vector fast path: bytes == count
-// means every varint is a single byte, so eight deltas decode and
-// prefix-sum per step.
-void DecodeVarintDelta(const uint8_t* in, uint64_t bytes, uint32_t count,
-                       uint32_t base, uint32_t* out);
-
 // ---------------------------------------------------------------------------
 // Branchless sorted search
 // ---------------------------------------------------------------------------
 
-// First index in sorted vals[0..n) with vals[i] >= v. Branchless: wide
-// windows narrow by conditional-move binary steps, the final window is a
-// vector count of elements < v (no data-dependent branches, no early
-// exit — the win over std::lower_bound is pipeline-, not comparison-,
-// count).
-uint32_t LowerBoundU32(const uint32_t* vals, uint32_t n, uint32_t v);
-
-// First index in sorted vals[0..n) with vals[i] > v.
-uint32_t UpperBoundU32(const uint32_t* vals, uint32_t n, uint32_t v);
-
-// Strided variants for the raw triple array: element i is
-// base[i * stride] (stride 3 — one component of a sorted Triple run).
-// The AVX2 path gathers 8 strided keys per step after branchless
-// narrowing.
+// First index i in the sorted strided run base[0], base[stride], ...,
+// base[(n - 1) * stride] with base[i * stride] >= v — one component of a
+// sorted Triple run on the raw tier (stride 3). The AVX2 path narrows by
+// conditional-move binary steps, then gathers 8 strided keys per step and
+// counts those < v (no data-dependent branches, no early exit).
 uint32_t LowerBoundStridedU32(const uint32_t* base, uint32_t stride,
                               uint32_t n, uint32_t v);
+
+// First index with base[i * stride] > v, same contract.
 uint32_t UpperBoundStridedU32(const uint32_t* base, uint32_t stride,
                               uint32_t n, uint32_t v);
 

@@ -9,13 +9,13 @@
 //
 // The index has two storage tiers behind the same position-space
 // contract. The raw tier keeps the sorted Triple array itself. The block
-// tier (CompressToBlockTier) re-stores each level as an independently
-// compressed BlockedColumn of 128-entry blocks (frame-of-reference
-// bit-packing or zigzag varint-delta, chosen per block) and frees the
-// raw array; Narrow/SeekGE/BlockEnd then run on the block directory
-// (block-max skipping in place of galloping) and return the exact same
-// positions, so every engine above — and the estimates they produce —
-// is bit-identical across tiers.
+// tier (CompressToBlockTier) re-stores each level as a BlockedColumn of
+// frame-of-reference bit-packed 128-entry blocks and frees the raw
+// array. A block-tier read is one directory load plus one payload load
+// straight from the packed bytes (no block decode), and Narrow/SeekGE/
+// BlockEnd gallop over those reads exactly as the raw tier gallops over
+// its array, returning the exact same positions — so every engine above,
+// and the estimates it produces, is bit-identical across tiers.
 #ifndef KGOA_INDEX_TRIE_INDEX_H_
 #define KGOA_INDEX_TRIE_INDEX_H_
 
@@ -105,10 +105,10 @@ class TrieIndex {
   }
 
   // Hints the memory TripleAt(pos) will touch: the raw triple itself, or
-  // each level column's encoded block bytes on the block tier. Issued by
-  // batched walk loops ahead of the corresponding TripleAt. Views decline
-  // the hint: resolving the merged position costs more than the fetch it
-  // would hide.
+  // the payload line holding each level column's packed value on the
+  // block tier. Issued by batched walk loops ahead of the corresponding
+  // TripleAt. Views decline the hint: resolving the merged position costs
+  // more than the fetch it would hide.
   void PrefetchTriple(uint32_t pos) const {
     if (base_ != nullptr) return;
     if (tier_ == StorageTier::kRaw) {
@@ -158,9 +158,8 @@ class TrieIndex {
 
   // First position in [from, range.end) whose `level` value is >= `value`.
   // Positions before `from` are assumed already consumed (leapfrog seek);
-  // the search gallops from `from` (raw tier) or skips directory blocks
-  // whose max is below `value` (block tier), so a hop of distance d costs
-  // O(log d) / O(d / 128) instead of O(log |range|).
+  // the search gallops from `from` on both tiers, so a hop of distance d
+  // costs O(log d) reads instead of O(log |range|).
   uint32_t SeekGE(Range range, int level, TermId value, uint32_t from) const;
 
   // End of the block of equal `level` values starting at `pos`. O(1) at
@@ -173,7 +172,7 @@ class TrieIndex {
     return static_cast<uint64_t>(triples_.size()) * sizeof(Triple);
   }
 
-  // Bytes resident in the block tier (encoded payloads + directories).
+  // Bytes resident in the block tier (packed payloads + directories).
   // Zero before CompressToBlockTier.
   uint64_t BlockStorageBytes() const {
     uint64_t bytes = 0;

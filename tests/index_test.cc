@@ -494,8 +494,8 @@ TEST(IndexRandom, RangesAgreeWithScans) {
 // ---------------------------------------------------------------------------
 
 // Decode-what-you-encode across the value shapes that steer the per-block
-// codec choice: constant blocks (0-bit FOR), narrow bands (bit-packing),
-// sorted small-gap runs (varint-delta), wide random values, and the
+// bit width: constant blocks (0-bit FOR), narrow bands, sorted small-gap
+// runs, wide random values, outliers that widen a block's frame, and the
 // partial-last-block sizes around the 128-value boundary.
 TEST(BlockCodec, RoundTripProperty) {
   Rng rng(2024);
@@ -549,7 +549,7 @@ TEST(BlockCodec, RoundTripProperty) {
 
 // SeekGE/SeekGT over sorted windows agree with std::lower_bound /
 // std::upper_bound on the raw array — including windows that straddle
-// block boundaries, where the block-max skip must never overshoot.
+// block boundaries, where the gallop must never overshoot.
 TEST(BlockCodec, SeekMatchesLinearScan) {
   Rng rng(777);
   for (int round = 0; round < 20; ++round) {
@@ -576,6 +576,83 @@ TEST(BlockCodec, SeekMatchesLinearScan) {
           << "[" << from << "," << end << ") v=" << v;
       ASSERT_EQ(col.SeekGT(from, end, v), expect_gt)
           << "[" << from << "," << end << ") v=" << v;
+    }
+  }
+}
+
+// Point reads come straight from the packed bytes, so every bit width is
+// its own code path through the shift/mask arithmetic. One column per
+// width 0..32: each full block spans exactly 2^width - 1 above a base
+// near the top of the uint32 range, and the short final block (37
+// values) ends at the payload's last packed byte — at width 32 that is
+// the read the padding exists for.
+TEST(BlockCodec, GetMatchesSourceAtEveryPositionForEveryWidth) {
+  Rng rng(4242);
+  constexpr uint32_t kN = 3 * kCodecBlockSize + 37;
+  for (uint32_t width = 0; width <= 32; ++width) {
+    const auto span = static_cast<uint32_t>((uint64_t{1} << width) - 1);
+    const uint32_t base = 0xffffffffu - span;
+    std::vector<uint32_t> values(kN);
+    for (uint32_t i = 0; i < kN; ++i) {
+      values[i] =
+          base + static_cast<uint32_t>(rng.Next() % (uint64_t{span} + 1));
+    }
+    // Pin each block's frame to exactly [base, base + span].
+    for (uint32_t begin = 0; begin < kN; begin += kCodecBlockSize) {
+      values[begin] = base;
+      values[std::min(kN, begin + kCodecBlockSize) - 1] = base + span;
+    }
+    const BlockedColumn col(values.data(), kN);
+    col.CheckInvariants(values.data());
+    ASSERT_EQ(col.num_blocks(), 4u);
+    for (uint32_t b = 0; b < col.num_blocks(); ++b) {
+      ASSERT_EQ(col.block_meta(b).bit_width, width) << "block " << b;
+    }
+    ASSERT_EQ(col.block_meta(3).count, 37u);
+    for (uint32_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(col.Get(i), values[i]) << "width " << width << " pos " << i;
+    }
+  }
+}
+
+// Seek windows anchored at every block edge: [from, end) with both ends
+// drawn from {edge - 1, edge, edge + 1}, against std::lower_bound /
+// std::upper_bound. The gallop's first probe, its doubling steps and its
+// bisection all cross block boundaries here.
+TEST(BlockCodec, SeekWindowsAnchoredAtBlockEdges) {
+  Rng rng(515);
+  for (const uint32_t n : {1u, 127u, 128u, 129u, 5 * kCodecBlockSize + 3}) {
+    std::vector<uint32_t> values(n);
+    uint32_t running = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      running += static_cast<uint32_t>(rng.Below(3));  // long equal runs
+      values[i] = running;
+    }
+    const BlockedColumn col(values.data(), n);
+    std::vector<uint32_t> anchors = {0, n};
+    for (uint32_t edge = kCodecBlockSize; edge < n; edge += kCodecBlockSize) {
+      anchors.insert(anchors.end(), {edge - 1, edge, edge + 1});
+    }
+    std::vector<uint32_t> probes = {0, running + 1};
+    for (const uint32_t a : anchors) {
+      if (a < n) probes.insert(probes.end(), {values[a], values[a] + 1});
+    }
+    for (const uint32_t from : anchors) {
+      for (const uint32_t end : anchors) {
+        if (from > end) continue;
+        const auto lo = values.begin() + from;
+        const auto hi = values.begin() + end;
+        for (const uint32_t v : probes) {
+          const auto expect_ge = static_cast<uint32_t>(
+              std::lower_bound(lo, hi, v) - values.begin());
+          const auto expect_gt = static_cast<uint32_t>(
+              std::upper_bound(lo, hi, v) - values.begin());
+          ASSERT_EQ(col.SeekGE(from, end, v), expect_ge)
+              << "n " << n << " [" << from << "," << end << ") v=" << v;
+          ASSERT_EQ(col.SeekGT(from, end, v), expect_gt)
+              << "n " << n << " [" << from << "," << end << ") v=" << v;
+        }
+      }
     }
   }
 }
@@ -650,6 +727,140 @@ TEST(IndexRandom, BlockTierMatchesRawOnAllOps) {
     EXPECT_LT(block.BlockStorageBytes(), raw.RawStorageBytes());
     EXPECT_LT(block.ApproxMemoryBytes(), raw.ApproxMemoryBytes());
   }
+}
+
+// A triple set whose block-tier columns include constant (width-0)
+// blocks and a short final block: subject 0 carries 700 objects under
+// one predicate, so in SPO the level-0 and level-1 columns are constant
+// over the first five blocks and level 2 is one long sorted run; 396
+// further subjects with a spread of objects give wider blocks, and the
+// 1096 triples leave a 72-value final block.
+std::vector<Triple> EdgeCaseTriples() {
+  std::vector<Triple> triples;
+  for (TermId o = 2; o < 702; ++o) triples.push_back(Triple{0, 1, o});
+  for (TermId s = 2; s < 398; ++s) {
+    triples.push_back(Triple{s, 1, 2 + (s * 7919) % 1500});
+  }
+  return triples;
+}
+
+// Raw and block tier of one order, built from the same triples.
+struct TierPair {
+  TierPair(IndexOrder order, const std::vector<Triple>& triples)
+      : raw(order, triples), block(order, triples) {
+    block.CompressToBlockTier();
+  }
+  TrieIndex raw;
+  TrieIndex block;
+};
+
+// KeyAt/TripleAt at every position, on every order: the decode-free
+// point read against the raw array.
+TEST(BlockTier, PointReadsMatchRawAtEveryPosition) {
+  const std::vector<Triple> triples = EdgeCaseTriples();
+  ASSERT_EQ(triples.size() % kCodecBlockSize, 72u);
+  for (IndexOrder order : kAllIndexOrders) {
+    const TierPair t(order, triples);
+    ASSERT_EQ(t.block.tier(), StorageTier::kBlock);
+    t.block.CheckInvariants();
+    for (uint32_t pos = 0; pos < t.raw.size(); ++pos) {
+      ASSERT_EQ(t.raw.TripleAt(pos), t.block.TripleAt(pos))
+          << OrderName(order) << " pos " << pos;
+      for (int level = 0; level < 3; ++level) {
+        ASSERT_EQ(t.raw.KeyAt(pos, level), t.block.KeyAt(pos, level))
+            << OrderName(order) << " pos " << pos << " level " << level;
+      }
+    }
+  }
+}
+
+// SeekGE/Narrow/BlockEnd on both tiers over windows whose ends sit at
+// block_begin - 1, block_begin and block_begin + 1 of every block edge
+// inside a trie node (any sub-window of a level-(L-1) node is sorted at
+// level L). Level 0 seeks and BlockEnds run on the root from the same
+// anchors.
+TEST(BlockTier, SeeksMatchRawOnWindowsAtBlockEdges) {
+  const std::vector<Triple> triples = EdgeCaseTriples();
+  auto anchors_in = [](Range node) {
+    std::vector<uint32_t> anchors = {node.begin, node.end};
+    const uint32_t first_edge =
+        (node.begin / kCodecBlockSize + 1) * kCodecBlockSize;
+    for (uint32_t edge = first_edge; edge < node.end + 2;
+         edge += kCodecBlockSize) {
+      for (const uint32_t a : {edge - 1, edge, edge + 1}) {
+        if (a > node.begin && a < node.end) anchors.push_back(a);
+      }
+    }
+    std::sort(anchors.begin(), anchors.end());
+    anchors.erase(std::unique(anchors.begin(), anchors.end()), anchors.end());
+    return anchors;
+  };
+  uint64_t windows = 0;
+  for (IndexOrder order : kAllIndexOrders) {
+    const TierPair t(order, triples);
+    const Range root = t.raw.Root();
+    for (const uint32_t pos : anchors_in(root)) {
+      if (pos == root.end) continue;
+      ASSERT_EQ(t.raw.BlockEnd(root, 0, pos), t.block.BlockEnd(root, 0, pos));
+      for (const TermId v :
+           {TermId{0}, t.raw.KeyAt(pos, 0), t.raw.KeyAt(pos, 0) + 1}) {
+        ASSERT_EQ(t.raw.SeekGE(root, 0, v, pos),
+                  t.block.SeekGE(root, 0, v, pos));
+      }
+    }
+    // Trie nodes at depth 1 and 2, enumerated on the raw tier.
+    std::vector<std::pair<Range, int>> nodes;
+    for (uint32_t p0 = 0; p0 < root.end;) {
+      const Range n0{p0, t.raw.BlockEnd(root, 0, p0)};
+      nodes.emplace_back(n0, 1);
+      for (uint32_t p1 = n0.begin; p1 < n0.end;) {
+        const Range n1{p1, t.raw.BlockEnd(n0, 1, p1)};
+        nodes.emplace_back(n1, 2);
+        p1 = n1.end;
+      }
+      p0 = n0.end;
+    }
+    for (const auto& [node, level] : nodes) {
+      // Only nodes that reach a block edge have anchored windows.
+      if (node.begin / kCodecBlockSize ==
+          (node.end - 1) / kCodecBlockSize) {
+        continue;
+      }
+      const std::vector<uint32_t> anchors = anchors_in(node);
+      std::vector<TermId> probes = {0, ~TermId{0}};
+      for (const uint32_t a : anchors) {
+        if (a == node.end) continue;
+        const TermId key = t.raw.KeyAt(a, level);
+        probes.insert(probes.end(), {key - 1, key, key + 1});
+      }
+      for (const uint32_t from : anchors) {
+        for (const uint32_t end : anchors) {
+          if (from > end) continue;
+          const Range window{from, end};
+          ++windows;
+          for (const TermId v : probes) {
+            ASSERT_EQ(t.raw.Narrow(window, level, v),
+                      t.block.Narrow(window, level, v))
+                << OrderName(order) << " level " << level << " [" << from
+                << "," << end << ") v=" << v;
+            ASSERT_EQ(t.raw.SeekGE(window, level, v, from),
+                      t.block.SeekGE(window, level, v, from))
+                << OrderName(order) << " level " << level << " [" << from
+                << "," << end << ") v=" << v;
+          }
+          for (const uint32_t pos : anchors) {
+            if (pos < from || pos >= end) continue;
+            ASSERT_EQ(t.raw.BlockEnd(window, level, pos),
+                      t.block.BlockEnd(window, level, pos))
+                << OrderName(order) << " level " << level << " [" << from
+                << "," << end << ") pos " << pos;
+          }
+        }
+      }
+    }
+  }
+  // The triple set must actually put trie nodes across block edges.
+  EXPECT_GT(windows, 1000u);
 }
 
 // The serving-layer acceptance criterion: a budget-mode estimate is

@@ -4,9 +4,9 @@
 // identical inputs through every dispatch level the host CPU supports
 // (scalar always; SSE4.2/AVX2 when available) and require bit-identical
 // outputs — the scalar path is the reference. Inputs are adversarial for
-// the codecs: constant blocks (0-bit FOR), max-width values, outlier
-// deltas (multi-byte varints poisoning the single-byte fast path), and
-// the short final block around the 128-value boundary.
+// the codec: constant blocks (0-bit FOR), max-width values, outliers
+// that widen a block's frame, and the short final block around the
+// 128-value boundary.
 #include <algorithm>
 #include <vector>
 
@@ -61,17 +61,6 @@ std::vector<uint8_t> PackBits(const std::vector<uint32_t>& deltas,
   }
   if (bits > 0) out.push_back(static_cast<uint8_t>(acc));
   return out;
-}
-
-// Reference zigzag LEB128 appender (same wire format as the encoder).
-void AppendZigzagVarint(int64_t delta, std::vector<uint8_t>& out) {
-  uint64_t z = (static_cast<uint64_t>(delta) << 1) ^
-               static_cast<uint64_t>(delta >> 63);
-  while (z >= 0x80) {
-    out.push_back(static_cast<uint8_t>(z) | 0x80);
-    z >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(z));
 }
 
 TEST(KernelsUnpackBits, AllWidthsAllLevelsMatchScalar) {
@@ -141,54 +130,9 @@ TEST(KernelsUnpackBits, TightPayloadEndDoesNotOverread) {
   }
 }
 
-TEST(KernelsVarintDelta, SingleByteFastPathAndOutliersMatchScalar) {
-  ScopedSimdLevel guard;
-  Rng rng(23);
-  for (int shape = 0; shape < 3; ++shape) {
-    for (const uint32_t count : {1u, 8u, 9u, 63u, 127u, 128u}) {
-      const uint32_t base = 1000;
-      std::vector<uint32_t> values(count);
-      int64_t prev = base;
-      std::vector<uint8_t> encoded;
-      int64_t running = base;
-      for (uint32_t i = 0; i < count; ++i) {
-        int64_t delta = 0;
-        switch (shape) {
-          case 0:  // single-byte zigzag deltas: the vector fast path
-            delta = static_cast<int64_t>(rng.Below(64)) - 31;
-            break;
-          case 1:  // outlier deltas: multi-byte varints, fast path off
-            delta = rng.Below(8) == 0
-                        ? static_cast<int64_t>(rng.Below(1u << 20))
-                        : static_cast<int64_t>(rng.Below(4));
-            break;
-          default:  // alternating sign, boundary magnitudes (63/64)
-            delta = (i % 2 == 0) ? 63 : -64;
-            break;
-        }
-        // Keep the prefix sum inside uint32 range.
-        if (running + delta < 0) delta = -delta;
-        running += delta;
-        values[i] = static_cast<uint32_t>(running);
-        AppendZigzagVarint(values[i] - prev, encoded);
-        prev = values[i];
-      }
-      for (const SimdLevel level : SupportedLevels()) {
-        SetSimdLevel(level);
-        std::vector<uint32_t> got(count, 0xdeadbeef);
-        kernels::DecodeVarintDelta(encoded.data(), encoded.size(), count,
-                                   base, got.data());
-        ASSERT_EQ(got, values)
-            << "level " << SimdLevelName(level) << " shape " << shape
-            << " count " << count;
-      }
-    }
-  }
-}
-
 // End-to-end decode differential through the real encoder: every block of
 // a BlockedColumn decodes bit-identically at every level, over the value
-// shapes that steer the per-block codec choice.
+// shapes that steer the per-block bit width.
 TEST(KernelsDecode, BlockedColumnDecodesIdenticallyAcrossLevels) {
   ScopedSimdLevel guard;
   Rng rng(31);
@@ -206,7 +150,7 @@ TEST(KernelsDecode, BlockedColumnDecodesIdenticallyAcrossLevels) {
           case 1:  // wide random: max-width packing
             values[i] = static_cast<uint32_t>(rng.Next());
             break;
-          case 2:  // sorted small gaps: varint-delta single-byte
+          case 2:  // sorted small gaps: narrow per-block frames
             running += static_cast<uint32_t>(rng.Below(4));
             values[i] = running;
             break;
@@ -236,49 +180,6 @@ TEST(KernelsDecode, BlockedColumnDecodesIdenticallyAcrossLevels) {
                 << " shape " << shape << " block " << b << " i " << i;
           }
         }
-      }
-    }
-  }
-}
-
-TEST(KernelsLowerBound, MatchesStdAcrossLevelsAndWindowBoundaries) {
-  ScopedSimdLevel guard;
-  Rng rng(47);
-  // Sizes bracket the SSE (32) and AVX2 (128) final-window widths.
-  const uint32_t sizes[] = {0,  1,  2,   31,  32,  33,  64,
-                            96, 127, 128, 129, 200, 300, 1000};
-  for (const uint32_t n : sizes) {
-    std::vector<uint32_t> vals(n);
-    uint32_t running = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      running += static_cast<uint32_t>(rng.Below(5));  // duplicates likely
-      vals[i] = running;
-    }
-    for (int probe = 0; probe < 64; ++probe) {
-      uint32_t v;
-      switch (probe % 4) {
-        case 0:
-          v = 0;
-          break;
-        case 1:
-          v = running + 1;  // past the end
-          break;
-        default:
-          v = n == 0 ? static_cast<uint32_t>(rng.Below(100))
-                     : vals[rng.Below(n)] + static_cast<uint32_t>(
-                                                rng.Below(3)) - 1;
-          break;
-      }
-      const uint32_t expected_lb = static_cast<uint32_t>(
-          std::lower_bound(vals.begin(), vals.end(), v) - vals.begin());
-      const uint32_t expected_ub = static_cast<uint32_t>(
-          std::upper_bound(vals.begin(), vals.end(), v) - vals.begin());
-      for (const SimdLevel level : SupportedLevels()) {
-        SetSimdLevel(level);
-        ASSERT_EQ(kernels::LowerBoundU32(vals.data(), n, v), expected_lb)
-            << "level " << SimdLevelName(level) << " n " << n << " v " << v;
-        ASSERT_EQ(kernels::UpperBoundU32(vals.data(), n, v), expected_ub)
-            << "level " << SimdLevelName(level) << " n " << n << " v " << v;
       }
     }
   }
