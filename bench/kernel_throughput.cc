@@ -82,14 +82,16 @@ double DecodeMbps(const BlockedColumn& col, int rounds) {
 // are held at 1 so the measurement is a pure single-lane hot-path time.
 double EndToEndSeconds(const IndexSet& indexes, const ChainQuery& query,
                        uint64_t budget, uint32_t batch_walks) {
-  ParallelOlaOptions options;
-  options.workers = 1;
-  options.threads = 1;
-  options.tipping_threshold = 2.0;
-  options.batch_walks = batch_walks;
+  ServingCore::Options core_options;
+  core_options.threads = 1;
+  ServingCore core(indexes, core_options);
+  ChartJobOptions job;
+  job.walk_budget = budget;
+  job.workers = 1;
+  job.tipping_threshold = 2.0;
+  job.batch_walks = batch_walks;
   Stopwatch clock;
-  const ParallelOlaResult run =
-      ParallelOlaExecutor(indexes, query, options).RunWalkBudget(budget);
+  const ParallelOlaResult run = core.Submit(query, job).Await();
   const double seconds = clock.ElapsedSeconds();
   if (run.estimates.walks() != budget) std::printf("(budget mismatch)\n");
   return seconds;

@@ -4,7 +4,8 @@
 // Part 1 measures interactive convergence the way the serving core
 // delivers it: a chart job is submitted with a far-away deadline, its
 // live Snapshot() is polled until the top group's 0.95 CI half-width
-// drops below a relative target, and the job is cancelled. The measured
+// drops below a relative target, and the job is retired with Finish()
+// (completed with its partials, not cancelled). The measured
 // time-to-target is taken once for a solo job (the whole pool to itself)
 // and once for 4 concurrent jobs time-slicing the same pool — the
 // slowdown quantifies what fair sharing costs a single chart.
@@ -58,8 +59,8 @@ bool CiTargetReached(const GroupedEstimates& estimates, double target) {
 }
 
 // Submits `jobs` identical deadline-mode jobs (distinct seeds), polls
-// their live snapshots until every one reaches the CI target, cancels
-// them, and returns the slowest job's time-to-target in seconds. Walks
+// their live snapshots until every one reaches the CI target, finishes
+// them (they retire as completed), and returns the slowest job's time-to-target in seconds. Walks
 // of the first job at its target time are returned through `walks`.
 double TimeToCiTarget(ServingCore& core, const ChainQuery& query,
                       const std::vector<int>& walk_order, int jobs,
@@ -89,7 +90,7 @@ double TimeToCiTarget(ServingCore& core, const ChainQuery& query,
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  for (const ChartHandle& handle : handles) handle.Cancel();
+  for (const ChartHandle& handle : handles) handle.Finish();
   for (const ChartHandle& handle : handles) handle.Await();
   double slowest = 0;
   for (double t : reached) slowest = std::max(slowest, t);
@@ -166,10 +167,11 @@ int main(int argc, char** argv) {
 
   const kgoa::ServeStats stats = core.stats();
   std::printf("\nscheduler: %llu quanta, %llu preemptions, %llu jobs "
-              "(%llu cancelled)\n",
+              "(%llu completed, %llu cancelled)\n",
               static_cast<unsigned long long>(stats.quanta),
               static_cast<unsigned long long>(stats.preemptions),
               static_cast<unsigned long long>(stats.jobs_submitted),
+              static_cast<unsigned long long>(stats.jobs_completed),
               static_cast<unsigned long long>(stats.jobs_cancelled));
 
   kgoa::MetricsRegistry registry;

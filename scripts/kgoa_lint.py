@@ -624,7 +624,7 @@ def self_test() -> int:
          "  Graph* graph_ = nullptr;\n", {"raw-graph-retention"}),
         ("raw IndexSet field in an options struct", "src/ola/foo.h",
          "  const IndexSet* indexes = nullptr;\n", {"raw-graph-retention"}),
-        ("qualified Graph ref member", "src/shard/foo.h",
+        ("qualified Graph ref member", "src/eval/foo.h",
          "  const kgoa::Graph& graph_;\n", {"raw-graph-retention"}),
         ("index layer may retain raw", "src/index/foo.h",
          "  const Graph& graph_;\n", set()),

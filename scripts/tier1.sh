@@ -7,12 +7,12 @@
 #     rules and stale-suppression detection), clang-tidy, and the clang
 #     -Wthread-safety stage with its negative-compile harness (the two
 #     clang stages skip with a notice when clang is absent)
-#  3. parallel_test + serve_test + reach_concurrent_test + shard_test +
-#     sync_test + mutable_test under ThreadSanitizer (the serving-core
-#     scheduler, the snapshot-publishing path, the shared sharded reach
-#     cache, the scatter-gather coordinator, the annotated sync wrappers
-#     and the RCU epoch-publish / journal-replay compaction races are the
-#     repo's multi-threaded code; the parallel index build rides along)
+#  3. parallel_test + serve_test + reach_concurrent_test + sync_test +
+#     mutable_test under ThreadSanitizer (the serving-core scheduler, the
+#     snapshot-publishing path, the shared sharded reach cache, the
+#     annotated sync wrappers and the RCU epoch-publish / journal-replay
+#     compaction races are the repo's multi-threaded code; the parallel
+#     index build rides along)
 #  4. the ENTIRE ctest suite under AddressSanitizer and UBSan
 #  5. the entire suite again with -DKGOA_CONTRACTS=ON, so every
 #     KGOA_DCHECK contract (sortedness, cursor monotonicity, memo
@@ -24,11 +24,11 @@
 #  7. the entire ctest suite once more with KGOA_SIMD=off, so the
 #     scalar kernel fallback (the only dispatch level on non-x86 hosts)
 #     gets the same coverage as the vectorized default
-#  8. bench smoke: scripts/bench_json.sh --quick must emit all six
+#  8. bench smoke: scripts/bench_json.sh --quick must emit all five
 #     BENCH JSONs with their stable key sets (written to a temp dir so
 #     the checked-in full-mode BENCH_reach.json / BENCH_serve.json /
-#     BENCH_shard.json / BENCH_index.json / BENCH_kernels.json /
-#     BENCH_update.json are not clobbered with quick-mode numbers)
+#     BENCH_index.json / BENCH_kernels.json / BENCH_update.json are not
+#     clobbered with quick-mode numbers)
 #
 # Usage: scripts/tier1.sh   (from the repo root)
 set -euo pipefail
@@ -50,11 +50,10 @@ echo "=== tier-1: concurrency tests under ThreadSanitizer ==="
 cmake -B build-tsan -S . -DKGOA_SANITIZE=thread -DKGOA_WERROR=ON
 cmake --build build-tsan -j "${JOBS}" --target parallel_test \
       --target serve_test --target reach_concurrent_test \
-      --target shard_test --target sync_test --target mutable_test
+      --target sync_test --target mutable_test
 ./build-tsan/tests/parallel_test
 ./build-tsan/tests/serve_test
 ./build-tsan/tests/reach_concurrent_test
-./build-tsan/tests/shard_test
 ./build-tsan/tests/sync_test
 ./build-tsan/tests/mutable_test
 
@@ -93,9 +92,8 @@ echo "=== tier-1: bench smoke (scripts/bench_json.sh) ==="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT
 scripts/bench_json.sh --quick "${SMOKE_DIR}/BENCH_reach.json" \
-    "${SMOKE_DIR}/BENCH_serve.json" "${SMOKE_DIR}/BENCH_shard.json" \
-    "${SMOKE_DIR}/BENCH_index.json" "${SMOKE_DIR}/BENCH_kernels.json" \
-    "${SMOKE_DIR}/BENCH_update.json"
+    "${SMOKE_DIR}/BENCH_serve.json" "${SMOKE_DIR}/BENCH_index.json" \
+    "${SMOKE_DIR}/BENCH_kernels.json" "${SMOKE_DIR}/BENCH_update.json"
 
 echo
 echo "tier-1 OK"

@@ -184,7 +184,7 @@ class AuditJoin {
   // Concurrency contract (capability model, DESIGN.md §11): AuditJoin
   // itself is single-threaded — every field here is engine-private — but
   // `reach_` may point at a cache SHARED with engines on other threads
-  // (ParallelOlaExecutor / ServingCore slots / ShardCoordinator jobs).
+  // (the slots of a ServingCore job, or concurrent jobs on one query).
   // That is safe without a lock on this side because ReachProbability is
   // internally synchronized: its ShardedFlatTable memos take striped
   // per-shard kgoa::Mutexes on insert and are lock-free (acquire-load)

@@ -32,7 +32,6 @@
 #include "src/ola/parallel.h"
 #include "src/query/chain_query.h"
 #include "src/rdf/graph.h"
-#include "src/shard/coordinator.h"
 
 namespace kgoa {
 
@@ -63,9 +62,8 @@ class Explorer {
   //
   // Each effective batch publishes a new epoch; serving calls submitted
   // afterwards see it, in-flight jobs keep their pinned version. Stale
-  // reach caches (and the shard coordinator's, when sharding is enabled)
-  // are evicted after every publish; in-flight jobs keep theirs via
-  // keepalives.
+  // reach caches are evicted after every publish; in-flight jobs keep
+  // theirs via keepalives.
 
   // Applies one batch (inserts first, then deletes); returns the number
   // of live-set changes. Thread-safe against serving; see MutableGraph.
@@ -112,13 +110,14 @@ class Explorer {
                          AuditJoin::Options options = AuditJoin::Options())
       const;
 
-  // Approximate chart served by the shared serving core (deadline mode):
-  // same contract as ApproximateChart, with walks split across
-  // options.threads logical workers time-sliced over the pool. No threads
-  // are constructed per call — the pool persists across charts.
+  // Approximate chart served by the shared serving core: SubmitChart
+  // followed by Await, converted to bars, with the engine counters
+  // exported. Deadline mode (options.deadline_seconds) unless
+  // options.walk_budget is set. The pool is sized by ConfigureServing —
+  // no threads are constructed per call.
   Chart ApproximateChartParallel(
-      const ChainQuery& query, double seconds, BarKind kind,
-      ParallelOlaOptions options = ParallelOlaOptions()) const;
+      const ChainQuery& query, BarKind kind,
+      ChartJobOptions options = ChartJobOptions()) const;
 
   // Async serving: enqueue a chart job on the shared worker pool and
   // return immediately. The handle exposes Snapshot() / Cancel() /
@@ -134,28 +133,6 @@ class Explorer {
   // Replaces the serving pool (cancelling any live jobs) so the next
   // serve runs with `options`. Cheap when no pool exists yet.
   void ConfigureServing(ServingCore::Options options) const;
-
-  // Builds (or rebuilds) the in-process sharded deployment: a
-  // ShardCoordinator with one serving core per shard. Rebuilding cancels
-  // any live sharded jobs. See src/shard/coordinator.h for the
-  // determinism contract sharded serving honors.
-  void EnableSharding(ShardCoordinator::Options options) const;
-  bool sharding_enabled() const { return shard_coordinator_ != nullptr; }
-  // Requires sharding_enabled().
-  ShardCoordinator& shard_coordinator() const;
-
-  // Async sharded serving: scatters the chart query across the shard
-  // cores and returns the combined handle. Requires sharding_enabled().
-  ShardChartHandle SubmitChartSharded(
-      const ChainQuery& query,
-      ShardChartOptions options = ShardChartOptions()) const;
-
-  // Synchronous sharded chart (deadline mode): fan out, await, convert.
-  // Exports the shard.* metrics alongside the engine counters. Requires
-  // sharding_enabled().
-  Chart ApproximateChartSharded(
-      const ChainQuery& query, double seconds, BarKind kind,
-      ShardChartOptions options = ShardChartOptions()) const;
 
   // Cumulative scheduler statistics of the shared pool (zeros before the
   // first serve).
@@ -196,9 +173,6 @@ class Explorer {
   // evaluation never spawn threads.
   mutable ServingCore::Options serving_options_;
   mutable std::unique_ptr<ServingCore> serving_core_;
-  // The sharded deployment; null until EnableSharding. Owns its own
-  // per-shard cores and reach caches, independent of the unsharded pool.
-  mutable std::unique_ptr<ShardCoordinator> shard_coordinator_;
 };
 
 }  // namespace kgoa

@@ -157,10 +157,6 @@ void ExplorationSession::TrackJob(ChartHandle handle) {
   if (handle.valid()) jobs_.push_back(std::move(handle));
 }
 
-void ExplorationSession::TrackJobs(const std::vector<ChartHandle>& handles) {
-  for (const ChartHandle& handle : handles) TrackJob(handle);
-}
-
 int ExplorationSession::CancelLiveJobs() {
   int cancelled = 0;
   for (const ChartHandle& job : jobs_) {

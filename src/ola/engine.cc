@@ -11,6 +11,9 @@
 namespace kgoa {
 namespace {
 
+// Ripple Join: tuples added to every pattern's extent sample per round.
+constexpr uint32_t kRippleBatch = 256;
+
 class AuditEngine final : public OlaEngine {
  public:
   AuditEngine(const IndexSet& indexes, const ChainQuery& query,
@@ -39,7 +42,7 @@ class AuditEngine final : public OlaEngine {
     out->batched_walks += audit_->batched_walks();
     if (audit_->owns_reach()) {
       // Private cache: this engine's stats are its own to report. A
-      // shared cache is reported once by the executor instead (as a
+      // shared cache is reported once by the serving core instead (as a
       // per-run delta), so the worker merge cannot multiply it.
       const ShardedTableStats reach = audit_->reach().stats();
       out->reach_hits += reach.hits;
@@ -107,7 +110,7 @@ class RippleEngine final : public OlaEngine {
                const OlaEngineOptions& options) {
     RippleJoin::Options rj;
     rj.seed = options.seed;
-    rj.batch_per_round = options.ripple_batch;
+    rj.batch_per_round = kRippleBatch;
     ripple_ = std::make_unique<RippleJoin>(indexes, query, rj);
   }
 

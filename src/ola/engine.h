@@ -2,7 +2,7 @@
 //
 // The serving core (src/ola/parallel.h) time-slices many concurrent chart
 // jobs over one worker pool. Doing that per engine type would wire every
-// engine's quirks into the scheduler, so the executor instead talks to
+// engine's quirks into the scheduler, so the core instead talks to
 // this minimal interface — construct, RunWalks(n), read the partial
 // estimates, read the work counters — and each of the repo's three OLA
 // engines implements it:
@@ -11,7 +11,7 @@
 //    random walk, possibly tipped into an exact partial computation.
 //  * Wander Join (src/ola/wander.h) — walk = one random walk.
 //  * Ripple Join (src/ola/ripple.h) — walk-quantum = one sampling round
-//    (batch_per_round tuples added to every pattern's extent sample).
+//    (kRippleBatch tuples added to every pattern's extent sample).
 //
 // The `mergeable()` capability is what keeps the scheduler honest about
 // semantics rather than special-casing engines: Audit and Wander walks are
@@ -41,7 +41,7 @@ class ReachProbability;
 //
 // The reach_* counters describe the reach-probability cache of the
 // distinct estimator. With a shared cache they are filled once per run by
-// the executor (as this run's delta over the cache's atomic shard
+// the serving core (as this run's delta over the cache's atomic shard
 // counters) rather than per worker; they are exact totals but
 // scheduling-dependent — see src/core/reach.h — so they are excluded from
 // the walk-budget determinism contract.
@@ -92,7 +92,6 @@ struct OlaEngineOptions {
   // Walk order over pattern indices; empty = engine default.
   std::vector<int> walk_order;
   double tipping_threshold = 64.0;   // Audit Join only
-  uint32_t ripple_batch = 256;       // Ripple Join: tuples per round
   // Audit Join distinct mode: audit against this externally owned
   // reach-probability cache instead of a private one. Must match the
   // engine's (query, walk order) and outlive it — see src/core/reach.h.

@@ -197,10 +197,6 @@ class ChartJob {
         quantum(std::max<uint64_t>(1, core->options.quantum_walks)),
         topk(EffectiveTopK(options)) {
     KGOA_CHECK(options.snapshot.valid());
-    engine_template.kind = options.engine;
-    engine_template.walk_order = options.walk_order;
-    engine_template.tipping_threshold = options.tipping_threshold;
-    engine_template.batch_walks = options.batch_walks;
 
     // Non-mergeable engines (Ripple) run on exactly one logical worker:
     // their partials cannot be folded across independently seeded
@@ -269,7 +265,6 @@ class ChartJob {
   ChartJobOptions options;
   const bool budget_mode;
   const uint64_t quantum;
-  OlaEngineOptions engine_template;  // per-slot seed filled at checkout
 
   uint64_t id = 0;  // assigned under the core mutex at submit
   SteadyClock::time_point deadline{};
@@ -314,7 +309,7 @@ class ChartJob {
   std::atomic<int> state{static_cast<int>(ChartJobState::kQueued)};
   ParallelOlaResult result KGOA_GUARDED_BY(done_mutex);
   // Per-slot final estimates in slot order (empty estimates for slots
-  // that never built an engine), kept for scatter-gather slot-order folds
+  // that never built an engine), kept for slot-order re-folds
   // (ChartHandle::SlotPartials).
   std::vector<GroupedEstimates> final_partials KGOA_GUARDED_BY(done_mutex);
 
@@ -433,10 +428,14 @@ uint64_t RunQuantum(ChartJob& job, int slot_index) {
   if (!job.budget_mode && SteadyClock::now() >= job.deadline) return 0;
 
   if (slot.engine == nullptr) {
-    OlaEngineOptions engine_options = job.engine_template;
+    OlaEngineOptions engine_options;
+    engine_options.kind = job.options.engine;
     engine_options.seed =
         job.options.seed + static_cast<uint64_t>(slot_index);
+    engine_options.walk_order = job.options.walk_order;
+    engine_options.tipping_threshold = job.options.tipping_threshold;
     engine_options.shared_reach = job.shared_reach;
+    engine_options.batch_walks = job.options.batch_walks;
     slot.engine =
         MakeOlaEngine(job.options.snapshot.indexes(), job.query,
                       engine_options);
@@ -486,7 +485,7 @@ void FinalizeJob(ChartJob& job, bool cancelled)
   // scheduled onto threads, so the result is bit-identical across pool
   // sizes and across solo vs. concurrent serving. The per-slot finals are
   // retained (empty for never-run slots, keeping slot alignment) so a
-  // scatter-gather across jobs can redo this fold in global slot order.
+  // caller can redo this fold in slot order (ChartHandle::SlotPartials).
   std::vector<GroupedEstimates> final_partials(job.slots.size());
   for (std::size_t s = 0; s < job.slots.size(); ++s) {
     ChartJob::Slot& slot = job.slots[s];
@@ -954,106 +953,6 @@ void ServingCore::WorkerMain() {
       lock.Lock();
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Synchronous executor on top of the serving core
-// ---------------------------------------------------------------------------
-
-ParallelOlaExecutor::ParallelOlaExecutor(const IndexSet& indexes,
-                                         ChainQuery query,
-                                         ParallelOlaOptions options)
-    : ParallelOlaExecutor(GraphSnapshot::Unowned(indexes), std::move(query),
-                          std::move(options)) {}
-
-ParallelOlaExecutor::ParallelOlaExecutor(GraphSnapshot snapshot,
-                                         ChainQuery query,
-                                         ParallelOlaOptions options)
-    : snapshot_(std::move(snapshot)),
-      query_(std::move(query)),
-      options_(std::move(options)) {
-  KGOA_CHECK(snapshot_.valid());
-  KGOA_CHECK(options_.threads >= 1);
-  KGOA_CHECK(options_.workers >= 1);
-  // Only the audit engine's distinct estimator audits reach
-  // probabilities; everything else runs cache-less.
-  if (options_.engine == OlaEngineKind::kAudit && query_.distinct()) {
-    if (options_.shared_reach != nullptr) {
-      shared_reach_ = options_.shared_reach;
-    } else if (options_.share_reach) {
-      shared_plan_ = std::make_unique<WalkPlan>(
-          WalkPlan::Compile(query_, options_.walk_order));
-      owned_shared_reach_ = std::make_unique<ReachProbability>(
-          snapshot_.indexes(), *shared_plan_);
-      shared_reach_ = owned_shared_reach_.get();
-    }
-  }
-}
-
-ParallelOlaExecutor::~ParallelOlaExecutor() = default;
-
-ServingCore& ParallelOlaExecutor::Core() const {
-  // Guarded lazy construction: Run* calls are const and documented
-  // thread-safe, so two threads' first calls must not race building the
-  // pool. (Annotation-era finding: the pre-TSA code built `core_` behind
-  // no lock — a real construction race under concurrent first Runs,
-  // pinned by SyncTest.ConcurrentExecutorRunsShareOneCore.)
-  MutexLock lock(core_mutex_);
-  if (core_ == nullptr) {
-    ServingCore::Options core_options;
-    core_options.threads = std::max(1, options_.threads);
-    core_options.quantum_walks =
-        std::max<uint64_t>(1, options_.publish_every);
-    core_ = std::make_unique<ServingCore>(snapshot_, core_options);
-  }
-  return *core_;
-}
-
-ChartJobOptions ParallelOlaExecutor::BaseJobOptions() const {
-  ChartJobOptions job;
-  job.seed = options_.seed;
-  job.engine = options_.engine;
-  job.walk_order = options_.walk_order;
-  job.tipping_threshold = options_.tipping_threshold;
-  job.batch_walks = options_.batch_walks;
-  // The executor resolved reach sharing at construction (so the cache
-  // stays warm across Run calls); the job must not build its own.
-  job.share_reach = false;
-  job.shared_reach = shared_reach_;
-  job.snapshot = snapshot_;
-  job.snapshot_period = options_.snapshot_period;
-  return job;
-}
-
-ParallelOlaResult ParallelOlaExecutor::RunForDuration(
-    double seconds, const OlaSnapshotCallback& callback) const {
-  ChartJobOptions job = BaseJobOptions();
-  job.walk_budget = 0;
-  job.deadline_seconds = seconds;
-  // One logical worker per pool thread, like the original deadline mode.
-  job.workers = std::max(1, options_.threads);
-  job.max_concurrency = options_.threads;
-  job.on_snapshot = callback;
-  return Core().Submit(query_, std::move(job)).Await();
-}
-
-ParallelOlaResult ParallelOlaExecutor::RunWalkBudget(
-    uint64_t total_walks, const OlaSnapshotCallback& callback) const {
-  ChartJobOptions job = BaseJobOptions();
-  job.walk_budget = total_walks;
-  job.workers = std::max(1, options_.workers);
-  job.max_concurrency = options_.threads;
-  job.on_snapshot = callback;
-  return Core().Submit(query_, std::move(job)).Await();
-}
-
-GroupedEstimates RunParallelOla(const IndexSet& indexes,
-                                const ChainQuery& query,
-                                const ParallelOlaOptions& options,
-                                double seconds) {
-  return ParallelOlaExecutor(indexes, query, options)
-      .RunForDuration(seconds)
-      .estimates;
 }
 
 }  // namespace kgoa

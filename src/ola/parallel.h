@@ -26,9 +26,8 @@
 //    snapshot-subscription callback. Handles expose Snapshot() (live
 //    merged partials), Cancel() and Await().
 //
-//  * ParallelOlaExecutor — the original synchronous API, now a thin
-//    wrapper that owns a private ServingCore and submits one job per Run
-//    call; the pool persists across calls.
+// A synchronous chart is `core.Submit(query, options).Await()`: every
+// approximate chart, sync or async, is one ChartJobOptions on one core.
 //
 // Scheduling never touches estimator semantics. A job in walk-budget mode
 // splits its budget over `workers` logical slots (slot w runs exactly its
@@ -56,53 +55,10 @@
 #include "src/ola/estimator.h"
 #include "src/ola/topk.h"
 #include "src/query/chain_query.h"
-#include "src/util/sync.h"
 
 namespace kgoa {
 
 class ReachProbability;
-class WalkPlan;
-
-struct ParallelOlaOptions {
-  // OS threads in the executor's pool. Never affects budget-mode results;
-  // budget-mode concurrency is additionally capped by `workers`.
-  int threads = 2;
-  uint64_t seed = 1;             // logical worker w uses seed + w
-  OlaEngineKind engine = OlaEngineKind::kAudit;
-  std::vector<int> walk_order;   // empty = engine default
-  double tipping_threshold = 64.0;  // Audit Join only
-  // Walks per structure-of-arrays batch inside each slot's quantum
-  // (0 = kDefaultWalkBatch, 1 = unbatched). Never affects budget-mode
-  // results: estimates are bit-identical for every width.
-  uint32_t batch_walks = 0;
-
-  // Budget mode: number of logical workers the budget is split across.
-  // Part of the deterministic run identity — changing it changes the
-  // estimate (like changing the seed), whereas changing `threads` never
-  // does.
-  int workers = 4;
-
-  // Walks a worker runs per time slice (and between partial publications
-  // and cancellation checks).
-  uint64_t publish_every = 256;
-
-  // Seconds between snapshot callbacks (when a callback is given).
-  double snapshot_period = 0.05;
-
-  // Audit Join distinct mode: share ONE reach-probability cache across
-  // every worker of a run, so each distinct (a, b) pair is audited once
-  // per run instead of once per thread. Sharing preserves the
-  // walk-budget bit-identity guarantee (memo values are pure functions of
-  // the plan, so insert races are benign — src/core/reach.h); only the
-  // cache counters become scheduling-dependent.
-  bool share_reach = true;
-
-  // Optional externally owned cache (e.g. an exploration session reusing
-  // audits across queries on the same walk plan — src/explore/cache.h).
-  // Must match this run's (query, walk order) and outlive the executor;
-  // takes precedence over share_reach's per-run cache.
-  ReachProbability* shared_reach = nullptr;
-};
 
 // A live view of the merged run state, valid only during the callback.
 struct OlaSnapshot {
@@ -157,8 +113,10 @@ struct ChartJobOptions {
   // round-robin, one quantum at a time.
   int priority = 0;
 
-  // Logical workers (budget-run identity, see ParallelOlaOptions). Jobs
-  // whose engine is not mergeable (Ripple) are clamped to 1.
+  // Budget mode: logical workers the budget is split across. Part of the
+  // deterministic run identity — changing it changes the estimate (like
+  // changing the seed), whereas the pool size never does. Jobs whose
+  // engine is not mergeable (Ripple) are clamped to 1.
   int workers = 4;
   // Max slots of this job running concurrently; 0 = no per-job cap (the
   // pool size is the cap).
@@ -172,11 +130,17 @@ struct ChartJobOptions {
   // 1 = unbatched); bit-identical estimates for every width.
   uint32_t batch_walks = 0;
 
-  // Reach-cache sharing across the job's slots; same semantics as
-  // ParallelOlaOptions. `shared_reach` (e.g. from the session's
-  // ReachCacheRegistry) lets concurrent jobs on the same query share one
-  // warm cache; it must outlive the job (pair it with `reach_keepalive`
-  // when the cache's owner may evict it mid-flight).
+  // Audit Join distinct mode: share ONE reach-probability cache across
+  // the job's slots, so each distinct (a, b) pair is audited once per job
+  // instead of once per slot. Sharing preserves budget-mode bit-identity
+  // (memo values are pure functions of the plan, so insert races are
+  // benign — src/core/reach.h); only the cache counters become
+  // scheduling-dependent. `shared_reach` (e.g. from the session's
+  // ReachCacheRegistry) is an externally owned cache that takes
+  // precedence: it lets concurrent and successive jobs on the same
+  // (query, walk order) share one warm cache. It must match the job's
+  // (query, walk order) and outlive the job (pair it with
+  // `reach_keepalive` when the cache's owner may evict it mid-flight).
   bool share_reach = true;
   ReachProbability* shared_reach = nullptr;
   // Pins whatever owns `shared_reach` (a registry cache entry) for the
@@ -247,13 +211,13 @@ class ChartHandle {
   // temporary handle is the job's last owner.
   ParallelOlaResult Await() const;
 
-  // Final per-slot estimates in slot order, retained at retirement. A
-  // scatter-gather over several jobs (src/shard/coordinator.h) must fold
-  // ALL logical slots of the combined run in global slot order — folding
-  // pre-merged per-job results would re-associate the floating-point
-  // summation and break budget-mode bit-identity. Slots that never ran
-  // (zero budget share) yield empty estimates, so the fold skips them
-  // exactly. Only callable once finished().
+  // Final per-slot estimates in slot order, retained at retirement.
+  // Folding them with GroupedEstimates::Merge in slot order reproduces
+  // Await()'s estimates bit for bit (perfbench's traced passes re-fold
+  // them to time the merge); any other order re-associates the
+  // floating-point summation. Slots that never ran (zero budget share)
+  // yield empty estimates, so the fold skips them exactly. Only callable
+  // once finished().
   std::vector<GroupedEstimates> SlotPartials() const;
 
  private:
@@ -333,62 +297,6 @@ class ServingCore {
   // kgoa-lint: allow(raw-thread) the serving pool itself
   std::vector<std::thread> pool_;
 };
-
-// ---------------------------------------------------------------------------
-// Synchronous executor API (one job at a time on a private pool)
-// ---------------------------------------------------------------------------
-
-class ParallelOlaExecutor {
- public:
-  // The indexes must outlive the executor; the query is copied.
-  ParallelOlaExecutor(const IndexSet& indexes, ChainQuery query,
-                      ParallelOlaOptions options);
-  // Pins `snapshot` for the executor's lifetime; every Run call reads it.
-  ParallelOlaExecutor(GraphSnapshot snapshot, ChainQuery query,
-                      ParallelOlaOptions options);
-  ~ParallelOlaExecutor();
-
-  // Deadline mode: runs until `seconds` of wall clock elapse, measured
-  // from the submit. One logical worker per pool thread.
-  ParallelOlaResult RunForDuration(
-      double seconds, const OlaSnapshotCallback& callback = nullptr) const;
-
-  // Deterministic walk-budget mode: exactly `total_walks` walks split
-  // across options.workers logical workers (worker w runs
-  // total/workers walks, +1 for the first total%workers workers, with
-  // seed seed + w), merged in worker order.
-  ParallelOlaResult RunWalkBudget(
-      uint64_t total_walks,
-      const OlaSnapshotCallback& callback = nullptr) const;
-
-  const ParallelOlaOptions& options() const { return options_; }
-
- private:
-  ChartJobOptions BaseJobOptions() const;
-  ServingCore& Core() const;
-
-  GraphSnapshot snapshot_;
-  ChainQuery query_;
-  ParallelOlaOptions options_;
-  // Run-shared reach cache (audit + distinct + share_reach): the plan is
-  // compiled against query_ so the cache's memo keys stay valid for the
-  // executor's whole lifetime — it stays warm across successive Run calls.
-  // Null when options_.shared_reach supplies an external cache instead.
-  std::unique_ptr<WalkPlan> shared_plan_;
-  std::unique_ptr<ReachProbability> owned_shared_reach_;
-  ReachProbability* shared_reach_ = nullptr;  // effective cache, may be null
-  // The private pool, spawned on the first Run call and reused by every
-  // later one — no per-serve thread construction. Run* calls are const
-  // and thread-safe, so the lazy construction is guarded (Core()).
-  mutable Mutex core_mutex_;
-  mutable std::unique_ptr<ServingCore> core_ KGOA_GUARDED_BY(core_mutex_);
-};
-
-// Legacy wrapper: deadline mode, estimates only.
-GroupedEstimates RunParallelOla(const IndexSet& indexes,
-                                const ChainQuery& query,
-                                const ParallelOlaOptions& options,
-                                double seconds);
 
 }  // namespace kgoa
 

@@ -26,7 +26,7 @@ inline uint64_t SplitMix64(uint64_t& state) {
 // level-synchronously) cannot change any walk's draws, which is what
 // keeps batched estimates bit-identical to the batch=1 path. The engine
 // seed is avalanched through the SplitMix64 mixer so the adjacent engine
-// seeds handed out by the parallel executor (seed + worker) yield
+// seeds handed out by the serving core (seed + slot) yield
 // decorrelated walk-seed sequences.
 inline uint64_t WalkSeed(uint64_t engine_seed, uint64_t walk) {
   uint64_t sm = engine_seed;

@@ -865,8 +865,10 @@ TEST(BlockTier, SeeksMatchRawOnWindowsAtBlockEdges) {
 
 // The serving-layer acceptance criterion: a budget-mode estimate is
 // bit-identical between the raw and block tiers across pool sizes
-// {1, 2, 8}. The contract comes for free from BlockTierMatchesRawOnAllOps
-// — this asserts it end-to-end through the engines and the slot merge.
+// {1, 2, 8} and batch widths {1 (unbatched), default, 48}. The contract
+// comes for free from BlockTierMatchesRawOnAllOps and the per-walk
+// counter-derived RNG — this asserts it end-to-end through the engines
+// and the slot merge.
 TEST(BlockTier, BudgetEstimatesBitIdenticalToRawAcrossPools) {
   const Graph graph = testing::PaperExampleGraph();
   IndexSet raw(graph);
@@ -884,32 +886,20 @@ TEST(BlockTier, BudgetEstimatesBitIdenticalToRawAcrossPools) {
   ASSERT_TRUE(q.has_value());
 
   constexpr uint64_t kBudget = 1501;  // remainder path
-  for (int threads : {1, 2, 8}) {
-    ServingCore::Options core_options;
-    core_options.threads = threads;
-    ServingCore raw_core(raw, core_options);
-    ServingCore block_core(block, core_options);
-
-    ChartJobOptions job;
-    job.walk_budget = kBudget;
-    job.workers = 4;
-    job.seed = 23;
-    job.tipping_threshold = 2.0;  // stochastic mode
-    const ParallelOlaResult from_raw = raw_core.Submit(*q, job).Await();
-    const ParallelOlaResult from_block = block_core.Submit(*q, job).Await();
-
-    ASSERT_EQ(from_raw.estimates.walks(), kBudget);
-    ASSERT_EQ(from_block.estimates.walks(), kBudget);
-    const auto ea = from_raw.estimates.Estimates();
-    const auto eb = from_block.estimates.Estimates();
-    ASSERT_EQ(ea.size(), eb.size()) << threads << " threads";
-    for (const auto& [group, estimate] : ea) {
-      const auto it = eb.find(group);
-      ASSERT_NE(it, eb.end());
-      EXPECT_EQ(estimate, it->second) << "group " << group;
-      EXPECT_EQ(from_raw.estimates.CiHalfWidth(group),
-                from_block.estimates.CiHalfWidth(group))
-          << "group " << group;
+  ChartJobOptions job = testing::BudgetJob(kBudget, 4, /*seed=*/23);
+  const ParallelOlaResult reference = testing::Serve(raw, *q, job, 1);
+  ASSERT_EQ(reference.estimates.walks(), kBudget);
+  for (const uint32_t batch : {1u, 0u, 48u}) {
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "batch=" << batch << " threads=" << threads);
+      job.batch_walks = batch;
+      testing::ExpectBitIdentical(
+          testing::Serve(raw, *q, job, threads).estimates,
+          reference.estimates);
+      testing::ExpectBitIdentical(
+          testing::Serve(block, *q, job, threads).estimates,
+          reference.estimates);
     }
   }
 }

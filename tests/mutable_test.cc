@@ -5,7 +5,7 @@
 // pinned on epoch N must be BIT-IDENTICAL to the same run against an
 // immutable build of epoch N's triple set, no matter how many batches
 // land or compactions publish while it runs. The matrix below checks
-// that across thread counts, shard counts and both storage tiers, with
+// that across thread counts and both storage tiers, with
 // a concurrent writer and a racing compaction (this file runs under
 // ThreadSanitizer in tier 1).
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "src/index/snapshot.h"
 #include "src/ola/parallel.h"
 #include "src/rdf/graph.h"
-#include "src/shard/coordinator.h"
 #include "tests/index_differential.h"
 #include "tests/test_util.h"
 
@@ -32,20 +31,7 @@ namespace {
 Slot V(VarId v) { return Slot::MakeVar(v); }
 Slot C(TermId t) { return Slot::MakeConst(t); }
 
-void ExpectBitIdentical(const GroupedEstimates& a, const GroupedEstimates& b) {
-  EXPECT_EQ(a.walks(), b.walks());
-  EXPECT_EQ(a.rejected_walks(), b.rejected_walks());
-  const auto ea = a.Estimates();
-  const auto eb = b.Estimates();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (const auto& [group, estimate] : ea) {
-    const auto it = eb.find(group);
-    ASSERT_NE(it, eb.end());
-    EXPECT_EQ(estimate, it->second) << "group " << group;
-    EXPECT_EQ(a.CiHalfWidth(group), b.CiHalfWidth(group)) << "group "
-                                                          << group;
-  }
-}
+using testing::ExpectBitIdentical;
 
 class MutableGraphTest : public ::testing::Test {
  protected:
@@ -203,25 +189,19 @@ TEST_F(MutableGraphTest, OverlayViewEstimatesMatchCompactedRebuild) {
     MutableGraph m(testing::PaperExampleGraph(), options);
     m.Apply(BatchInserts(m), BatchDeletes());
 
-    ParallelOlaOptions run;
-    run.workers = 4;
-    run.threads = 2;
-    run.seed = 17;
-    run.tipping_threshold = 2.0;
+    ChartJobOptions run = testing::BudgetJob(kBudget, 4);
     run.walk_order = DefaultAuditOrder(query);
 
     const GraphSnapshot overlay = m.snapshot();
     ASSERT_NE(overlay.overlay(), nullptr);
     const GroupedEstimates via_view =
-        ParallelOlaExecutor(overlay, query, run).RunWalkBudget(kBudget)
-            .estimates;
+        testing::Serve(overlay, query, run).estimates;
 
     m.Compact();
     const GraphSnapshot rebuilt = m.snapshot();
     ASSERT_EQ(rebuilt.overlay(), nullptr);
     const GroupedEstimates via_base =
-        ParallelOlaExecutor(rebuilt, query, run).RunWalkBudget(kBudget)
-            .estimates;
+        testing::Serve(rebuilt, query, run).estimates;
 
     ExpectBitIdentical(via_view, via_base);
   }
@@ -399,20 +379,14 @@ TEST_F(MutableGraphTest, PinnedEstimatesBitIdenticalAcrossThreadsAndTiers) {
 
     for (const int threads : {1, 2, 8}) {
       SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-      ParallelOlaOptions run;
-      run.workers = 8;  // fixed logical split: threads don't change it
-      run.threads = threads;
-      run.seed = 17;
-      run.tipping_threshold = 2.0;
+      // Fixed logical split: the pool size does not change it.
+      ChartJobOptions run = testing::BudgetJob(kBudget, 8);
       run.walk_order = DefaultAuditOrder(query);
 
       const GroupedEstimates expected =
-          ParallelOlaExecutor(reference_snapshot, query, run)
-              .RunWalkBudget(kBudget)
-              .estimates;
+          testing::Serve(reference_snapshot, query, run, threads).estimates;
       const GroupedEstimates pinned_run =
-          ParallelOlaExecutor(pinned, query, run).RunWalkBudget(kBudget)
-              .estimates;
+          testing::Serve(pinned, query, run, threads).estimates;
       ExpectBitIdentical(pinned_run, expected);
     }
     writer.join();
@@ -422,64 +396,6 @@ TEST_F(MutableGraphTest, PinnedEstimatesBitIdenticalAcrossThreadsAndTiers) {
     EXPECT_EQ(pinned.epoch(), pinned_epoch);
     EXPECT_GT(m.epoch(), pinned_epoch);
   }
-}
-
-// Sharded serving pins ONE coherent epoch across every shard of a fan-out;
-// the gather over a pinned overlay snapshot must equal the unsharded
-// reference against the immutable rebuild, while writes race.
-TEST_F(MutableGraphTest, ShardedPinnedEstimatesBitIdenticalAcrossShards) {
-  const ChainQuery query = Fig5();
-  constexpr uint64_t kBudget = 1501;
-  constexpr int kWorkersPerShard = 2;
-
-  MutableGraph reference_graph(testing::PaperExampleGraph());
-  reference_graph.Apply(BatchInserts(reference_graph), BatchDeletes());
-  reference_graph.Compact();
-  const GraphSnapshot reference_snapshot = reference_graph.snapshot();
-
-  MutableGraph m(testing::PaperExampleGraph());
-  m.Apply(BatchInserts(m), BatchDeletes());
-  const GraphSnapshot pinned = m.snapshot();
-
-  std::vector<Triple> noise;
-  for (int i = 0; i < 16; ++i) {
-    noise.push_back(Triple{m.Intern("noise" + std::to_string(i)),
-                           graph_.rdf_type(), Id("Person")});
-  }
-  // kgoa-lint: allow(raw-thread) writer racing the pool is the scenario under test
-  std::thread writer([&]() {
-    for (const Triple& t : noise) m.Insert({t});
-    m.Compact();
-  });
-
-  for (const int shards : {1, 2, 4}) {
-    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
-    ParallelOlaOptions run;
-    run.workers = shards * kWorkersPerShard;
-    run.threads = 2;
-    run.seed = 17;
-    run.tipping_threshold = 2.0;
-    run.walk_order = DefaultAuditOrder(query);
-    const GroupedEstimates expected =
-        ParallelOlaExecutor(reference_snapshot, query, run)
-            .RunWalkBudget(kBudget)
-            .estimates;
-
-    ShardCoordinator::Options coord_options;
-    coord_options.num_shards = shards;
-    coord_options.threads_per_shard = 2;
-    coord_options.build_slices = false;
-    ShardCoordinator coordinator(pinned, coord_options);
-    ShardChartOptions chart;
-    chart.walk_budget = kBudget;
-    chart.workers_per_shard = kWorkersPerShard;
-    chart.seed = 17;
-    chart.tipping_threshold = 2.0;
-    chart.snapshot = pinned;
-    ExpectBitIdentical(coordinator.Submit(query, chart).Await().estimates,
-                       expected);
-  }
-  writer.join();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-// Tests for estimator merging and the parallel OLA executor.
+// Tests for estimator merging and parallel charts on the serving core.
 //
 // The convergence tests use the deterministic walk-budget mode rather than
 // wall-clock deadlines, so they are reproducible and independent of machine
-// load — and they double as the tier-1 check of the executor's core
-// guarantee: a budgeted run is a pure function of (query, seed, budget,
-// workers), bit-identical across thread counts and equal to a sequential
-// run over the union of the per-worker seeds.
+// load — and they double as the tier-1 check of the core's guarantee: a
+// budgeted job is a pure function of (query, seed, budget, workers),
+// bit-identical across pool sizes and equal to a sequential run over the
+// union of the per-slot seeds.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -124,20 +124,9 @@ class ParallelTest : public ::testing::Test {
   IndexSet indexes_;
 };
 
-void ExpectBitIdentical(const GroupedEstimates& a, const GroupedEstimates& b) {
-  EXPECT_EQ(a.walks(), b.walks());
-  EXPECT_EQ(a.rejected_walks(), b.rejected_walks());
-  const auto ea = a.Estimates();
-  const auto eb = b.Estimates();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (const auto& [group, estimate] : ea) {
-    const auto it = eb.find(group);
-    ASSERT_NE(it, eb.end());
-    EXPECT_EQ(estimate, it->second) << "group " << group;
-    EXPECT_EQ(a.CiHalfWidth(group), b.CiHalfWidth(group)) << "group "
-                                                          << group;
-  }
-}
+using testing::BudgetJob;
+using testing::ExpectBitIdentical;
+using testing::Serve;
 
 // The satellite check: a 4-worker budgeted parallel run merges to exactly
 // the same estimate as one sequential pass over the union of the per-worker
@@ -146,13 +135,8 @@ TEST_F(ParallelTest, WalkBudgetEqualsSequentialUnionOfSeeds) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 2002;  // not divisible by 4: remainder path
 
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 2;
-  options.seed = 17;
-  options.tipping_threshold = 2.0;
-  const ParallelOlaResult parallel =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
+  const ChartJobOptions job = BudgetJob(kBudget, 4);
+  const ParallelOlaResult parallel = Serve(indexes_, query, job);
   EXPECT_EQ(parallel.workers, 4);
   EXPECT_EQ(parallel.estimates.walks(), kBudget);
 
@@ -161,8 +145,8 @@ TEST_F(ParallelTest, WalkBudgetEqualsSequentialUnionOfSeeds) {
   GroupedEstimates sequential;
   for (uint64_t w = 0; w < 4; ++w) {
     AuditJoin::Options aj;
-    aj.seed = options.seed + w;
-    aj.tipping_threshold = options.tipping_threshold;
+    aj.seed = job.seed + w;
+    aj.tipping_threshold = job.tipping_threshold;
     AuditJoin engine(indexes_, query, aj);
     engine.RunWalks(kBudget / 4 + (w < kBudget % 4 ? 1 : 0));
     sequential.Merge(engine.estimates());
@@ -174,14 +158,10 @@ TEST_F(ParallelTest, WalkBudgetBitIdenticalAcrossThreadCounts) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 3000;
 
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.tipping_threshold = 2.0;
   GroupedEstimates reference;
   for (int threads : {1, 2, 4}) {
-    options.threads = threads;
     const ParallelOlaResult run =
-        ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
+        Serve(indexes_, query, BudgetJob(kBudget, 4), threads);
     EXPECT_EQ(run.estimates.walks(), kBudget);
     if (threads == 1) {
       reference = run.estimates;
@@ -201,10 +181,8 @@ TEST_F(ParallelTest, WalkBudgetBitIdenticalAcrossBatchWidths) {
   for (const OlaEngineKind engine :
        {OlaEngineKind::kAudit, OlaEngineKind::kWander}) {
     const ChainQuery query = Fig5(engine == OlaEngineKind::kAudit);
-    ParallelOlaOptions options;
-    options.workers = 4;
-    options.engine = engine;
-    options.tipping_threshold = 2.0;
+    ChartJobOptions job = BudgetJob(kBudget, 4);
+    job.engine = engine;
     GroupedEstimates reference;
     bool have_reference = false;
     for (const uint32_t batch : {1u, 2u, 32u, 101u}) {
@@ -212,11 +190,8 @@ TEST_F(ParallelTest, WalkBudgetBitIdenticalAcrossBatchWidths) {
         SCOPED_TRACE(::testing::Message()
                      << OlaEngineName(engine) << " batch=" << batch
                      << " threads=" << threads);
-        options.threads = threads;
-        options.batch_walks = batch;
-        const ParallelOlaResult run =
-            ParallelOlaExecutor(indexes_, query, options)
-                .RunWalkBudget(kBudget);
+        job.batch_walks = batch;
+        const ParallelOlaResult run = Serve(indexes_, query, job, threads);
         EXPECT_EQ(run.estimates.walks(), kBudget);
         if (batch > 1) {
           EXPECT_EQ(run.counters.batched_walks, kBudget);
@@ -240,10 +215,6 @@ TEST_F(ParallelTest, WalkBudgetBitIdenticalAcrossBatchWidths) {
 TEST_F(ParallelTest, WalkBudgetBitIdenticalAcrossSimdLevels) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 2002;
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 2;
-  options.tipping_threshold = 2.0;
   const SimdLevel entry_level = CurrentSimdLevel();
   GroupedEstimates reference;
   bool have_reference = false;
@@ -251,7 +222,7 @@ TEST_F(ParallelTest, WalkBudgetBitIdenticalAcrossSimdLevels) {
        {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
     SetSimdLevel(level);  // clamped to what the CPU supports
     const ParallelOlaResult run =
-        ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
+        Serve(indexes_, query, BudgetJob(kBudget, 4));
     if (!have_reference) {
       reference = run.estimates;
       have_reference = true;
@@ -266,13 +237,8 @@ TEST_F(ParallelTest, AuditWorkersConvergeMerged) {
   const ChainQuery query = Fig5(true);
   const GroupedResult exact = testing::BruteForce(graph_, query);
 
-  ParallelOlaOptions options;
-  options.threads = 3;
-  options.workers = 3;
-  options.engine = OlaEngineKind::kAudit;
-  options.tipping_threshold = 2.0;  // stochastic mode
   const ParallelOlaResult run =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(30000);
+      Serve(indexes_, query, BudgetJob(30000, 3, /*seed=*/1), /*threads=*/3);
 
   EXPECT_EQ(run.estimates.walks(), 30000u);
   for (const auto& [group, count] : exact.counts) {
@@ -285,12 +251,9 @@ TEST_F(ParallelTest, WanderWorkersConvergeOnNonDistinct) {
   const ChainQuery query = Fig5(false);
   const GroupedResult exact = testing::BruteForce(graph_, query);
 
-  ParallelOlaOptions options;
-  options.threads = 2;
-  options.workers = 2;
-  options.engine = OlaEngineKind::kWander;
-  const ParallelOlaResult run =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(30000);
+  ChartJobOptions job = BudgetJob(30000, 2, /*seed=*/1);
+  job.engine = OlaEngineKind::kWander;
+  const ParallelOlaResult run = Serve(indexes_, query, job);
   for (const auto& [group, count] : exact.counts) {
     EXPECT_NEAR(run.estimates.Estimate(group), static_cast<double>(count),
                 0.1 * static_cast<double>(count) + 0.1);
@@ -303,53 +266,47 @@ TEST_F(ParallelTest, WalkBudgetSnapshotsPublishPartials) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 20000;
 
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 4;
-  options.tipping_threshold = 2.0;
-  options.publish_every = 64;
-  options.snapshot_period = 1e-4;  // as fast as the loop allows
+  ServingCore::Options core_options;
+  core_options.threads = 4;
+  core_options.quantum_walks = 64;
+  ServingCore core(indexes_, core_options);
 
   int snapshots = 0;
   int finals = 0;
   uint64_t last_walks = 0;
-  const ParallelOlaResult run =
-      ParallelOlaExecutor(indexes_, query, options)
-          .RunWalkBudget(kBudget, [&](const OlaSnapshot& snapshot) {
-            ++snapshots;
-            ASSERT_NE(snapshot.estimates, nullptr);
-            EXPECT_GE(snapshot.walks, last_walks);
-            EXPECT_LE(snapshot.walks, kBudget);
-            EXPECT_EQ(snapshot.walks, snapshot.estimates->walks());
-            last_walks = snapshot.walks;
-            if (snapshot.final_snapshot) {
-              ++finals;
-              EXPECT_EQ(snapshot.walks, kBudget);
-            }
-          });
+  ChartJobOptions job = BudgetJob(kBudget, 4, /*seed=*/1);
+  job.snapshot_period = 1e-4;  // as fast as the loop allows
+  job.on_snapshot = [&](const OlaSnapshot& snapshot) {
+    ++snapshots;
+    ASSERT_NE(snapshot.estimates, nullptr);
+    EXPECT_GE(snapshot.walks, last_walks);
+    EXPECT_LE(snapshot.walks, kBudget);
+    EXPECT_EQ(snapshot.walks, snapshot.estimates->walks());
+    last_walks = snapshot.walks;
+    if (snapshot.final_snapshot) {
+      ++finals;
+      EXPECT_EQ(snapshot.walks, kBudget);
+    }
+  };
+  const ParallelOlaResult run = core.Submit(query, job).Await();
   EXPECT_GE(snapshots, 1);
   EXPECT_EQ(finals, 1);
   EXPECT_EQ(run.estimates.walks(), kBudget);
 }
 
-TEST_F(ParallelTest, DeadlineModeAndLegacyWrapperWork) {
+TEST_F(ParallelTest, DeadlineModeRunsUntilTheDeadline) {
   const ChainQuery query = Fig5(true);
-  ParallelOlaOptions options;
-  options.threads = 2;
   int finals = 0;
-  const ParallelOlaResult run =
-      ParallelOlaExecutor(indexes_, query, options)
-          .RunForDuration(0.05, [&](const OlaSnapshot& snapshot) {
-            if (snapshot.final_snapshot) ++finals;
-          });
+  ChartJobOptions job;
+  job.deadline_seconds = 0.05;
+  job.workers = 2;
+  job.on_snapshot = [&](const OlaSnapshot& snapshot) {
+    if (snapshot.final_snapshot) ++finals;
+  };
+  const ParallelOlaResult run = Serve(indexes_, query, job);
   EXPECT_GT(run.estimates.walks(), 0u);
   EXPECT_EQ(finals, 1);
   EXPECT_GE(run.elapsed_seconds, 0.05);
-
-  options.threads = 1;
-  const GroupedEstimates merged =
-      RunParallelOla(indexes_, query, options, 0.02);
-  EXPECT_GT(merged.walks(), 0u);
 }
 
 }  // namespace

@@ -170,21 +170,9 @@ class ReachConcurrentTest : public ::testing::Test {
   IndexSet indexes_;
 };
 
-void ExpectBitIdentical(const GroupedEstimates& a,
-                        const GroupedEstimates& b) {
-  EXPECT_EQ(a.walks(), b.walks());
-  EXPECT_EQ(a.rejected_walks(), b.rejected_walks());
-  const auto ea = a.Estimates();
-  const auto eb = b.Estimates();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (const auto& [group, estimate] : ea) {
-    const auto it = eb.find(group);
-    ASSERT_NE(it, eb.end());
-    EXPECT_EQ(estimate, it->second) << "group " << group;
-    EXPECT_EQ(a.CiHalfWidth(group), b.CiHalfWidth(group))
-        << "group " << group;
-  }
-}
+using testing::BudgetJob;
+using testing::ExpectBitIdentical;
+using testing::Serve;
 
 // Exhaustively enumerates the plan's walks, accumulating the probability
 // mass of completed walks per (alpha, beta) pair into a reference
@@ -296,15 +284,11 @@ TEST_F(ReachConcurrentTest, SharedCacheBitIdenticalAcrossThreadCounts) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 4000;
 
-  ParallelOlaOptions options;
-  options.workers = 8;
-  options.tipping_threshold = 2.0;
-  ASSERT_TRUE(options.share_reach);
+  const ChartJobOptions job = BudgetJob(kBudget, 8, /*seed=*/1);
+  ASSERT_TRUE(job.share_reach);
   GroupedEstimates reference;
   for (int threads : {1, 2, 8}) {
-    options.threads = threads;
-    const ParallelOlaResult run =
-        ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
+    const ParallelOlaResult run = Serve(indexes_, query, job, threads);
     EXPECT_EQ(run.estimates.walks(), kBudget);
     EXPECT_GT(run.counters.reach_entries, 0u);
     if (threads == 1) {
@@ -321,35 +305,29 @@ TEST_F(ReachConcurrentTest, SharedAndPrivateCachesProduceIdenticalRuns) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 3000;
 
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 4;
-  options.tipping_threshold = 2.0;
-
-  options.share_reach = true;
-  const ParallelOlaResult shared =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
-  options.share_reach = false;
-  const ParallelOlaResult isolated =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
+  ChartJobOptions job = BudgetJob(kBudget, 4, /*seed=*/1);
+  job.share_reach = true;
+  const ParallelOlaResult shared = Serve(indexes_, query, job, 4);
+  job.share_reach = false;
+  const ParallelOlaResult isolated = Serve(indexes_, query, job, 4);
   ExpectBitIdentical(shared.estimates, isolated.estimates);
 }
 
-// The executor's cache stays warm across runs: a second identical run
-// resolves every lookup from the memo (zero misses in its counter window)
-// and reproduces the first run exactly.
-TEST_F(ReachConcurrentTest, ExecutorCacheStaysWarmAcrossRuns) {
+// A caller-supplied cache stays warm across jobs: a second identical job
+// on the same core resolves every lookup from the memo (zero misses in
+// its counter window) and reproduces the first job exactly.
+TEST_F(ReachConcurrentTest, CallerCacheStaysWarmAcrossJobs) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 2000;
 
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 2;
-  options.tipping_threshold = 2.0;
-  ParallelOlaExecutor executor(indexes_, query, options);
+  const WalkPlan plan = WalkPlan::Compile(query);
+  ReachProbability reach(indexes_, plan);
+  ChartJobOptions job = BudgetJob(kBudget, 4, /*seed=*/1);
+  job.shared_reach = &reach;
+  ServingCore core(indexes_);
 
-  const ParallelOlaResult cold = executor.RunWalkBudget(kBudget);
-  const ParallelOlaResult warm = executor.RunWalkBudget(kBudget);
+  const ParallelOlaResult cold = core.Submit(query, job).Await();
+  const ParallelOlaResult warm = core.Submit(query, job).Await();
   ExpectBitIdentical(cold.estimates, warm.estimates);
   EXPECT_GT(cold.counters.reach_misses, 0u);
   EXPECT_EQ(warm.counters.reach_misses, 0u);
@@ -358,7 +336,8 @@ TEST_F(ReachConcurrentTest, ExecutorCacheStaysWarmAcrossRuns) {
 }
 
 // An externally owned cache (the exploration-session registry) slots into
-// both the sequential engine and the executor without changing results.
+// both the sequential engine and a serving-core job without changing
+// results.
 TEST_F(ReachConcurrentTest, ExternalRegistryCacheMatchesPrivateRuns) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 2000;
@@ -385,16 +364,11 @@ TEST_F(ReachConcurrentTest, ExternalRegistryCacheMatchesPrivateRuns) {
   shared_engine.RunWalks(kBudget);
   ExpectBitIdentical(private_engine.estimates(), shared_engine.estimates());
 
-  // Parallel executor fed the registry cache.
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 2;
-  options.tipping_threshold = 2.0;
-  const ParallelOlaResult baseline =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
-  options.shared_reach = cache;
-  const ParallelOlaResult via_registry =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
+  // Serving-core job fed the registry cache.
+  ChartJobOptions job = BudgetJob(kBudget, 4, /*seed=*/1);
+  const ParallelOlaResult baseline = Serve(indexes_, query, job);
+  job.shared_reach = cache;
+  const ParallelOlaResult via_registry = Serve(indexes_, query, job);
   ExpectBitIdentical(baseline.estimates, via_registry.estimates);
   EXPECT_GT(registry.stats().entries, 0u);
 }

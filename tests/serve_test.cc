@@ -46,21 +46,7 @@ class ServeTest : public ::testing::Test {
   IndexSet indexes_;
 };
 
-void ExpectBitIdentical(const GroupedEstimates& a,
-                        const GroupedEstimates& b) {
-  EXPECT_EQ(a.walks(), b.walks());
-  EXPECT_EQ(a.rejected_walks(), b.rejected_walks());
-  const auto ea = a.Estimates();
-  const auto eb = b.Estimates();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (const auto& [group, estimate] : ea) {
-    const auto it = eb.find(group);
-    ASSERT_NE(it, eb.end());
-    EXPECT_EQ(estimate, it->second) << "group " << group;
-    EXPECT_EQ(a.CiHalfWidth(group), b.CiHalfWidth(group))
-        << "group " << group;
-  }
-}
+using testing::ExpectBitIdentical;
 
 // Cancellation is observed within ONE walk quantum. The job cancels itself
 // from its own snapshot callback (which runs at a quantum boundary, right
@@ -193,16 +179,10 @@ TEST_F(ServeTest, WalkBudgetBitIdenticalSoloVsConcurrentAcrossPools) {
   measured.seed = 17;
   measured.tipping_threshold = 2.0;  // stochastic mode
 
-  // Reference: the synchronous executor on one thread (the pre-serving
-  // sequential-union semantics, locked in by parallel_test).
-  ParallelOlaOptions reference_options;
-  reference_options.threads = 1;
-  reference_options.workers = 4;
-  reference_options.seed = 17;
-  reference_options.tipping_threshold = 2.0;
+  // Reference: the job alone on a one-thread pool (equal to the
+  // sequential union of the slot seeds, locked in by parallel_test).
   const ParallelOlaResult reference =
-      ParallelOlaExecutor(indexes_, query, reference_options)
-          .RunWalkBudget(kBudget);
+      testing::Serve(indexes_, query, measured, /*threads=*/1);
   ASSERT_EQ(reference.estimates.walks(), kBudget);
 
   for (int threads : {1, 2, 8}) {
@@ -258,6 +238,107 @@ TEST_F(ServeTest, WalkBudgetBitIdenticalAcrossBatchWidths) {
       }
     }
   }
+}
+
+// The slot-order fold of a finished job's SlotPartials() is exactly its
+// Await() result: one partial per logical slot, merged in slot order.
+// The random graph's non-integral contributions make the sum
+// order-sensitive (the reversed fold differs), so the check cannot pass
+// vacuously.
+TEST(SlotPartialsTest, SlotOrderFoldEqualsAwait) {
+  Rng rng(1);
+  testing::RandomGraphSpec spec;
+  spec.num_entities = 30;
+  spec.num_property_triples = 150;
+  spec.num_type_triples = 40;
+  const Graph graph = testing::RandomGraph(rng, spec);
+  const IndexSet indexes(graph);
+  const auto query =
+      testing::RandomChainQuery(rng, graph, 3, /*distinct=*/true);
+  ASSERT_TRUE(query.has_value());
+
+  ServingCore core(indexes);
+  const ChartHandle handle =
+      core.Submit(*query, testing::BudgetJob(2002, 4));
+  const ParallelOlaResult awaited = handle.Await();
+  const std::vector<GroupedEstimates> slots = handle.SlotPartials();
+  ASSERT_EQ(slots.size(), 4u);
+  GroupedEstimates folded;
+  for (const GroupedEstimates& slot : slots) {
+    EXPECT_GT(slot.walks(), 0u);
+    folded.Merge(slot);
+  }
+  ExpectBitIdentical(folded, awaited.estimates);
+  GroupedEstimates reversed;
+  for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
+    reversed.Merge(*it);
+  }
+  EXPECT_NE(reversed.Estimates(), awaited.estimates.Estimates());
+}
+
+// A budget smaller than the slot count leaves the trailing slots with a
+// zero share: they never run, their partials are empty, and the fold
+// skips them exactly — folding only the slots that ran gives the same
+// bits as folding all of them, and both equal Await().
+TEST_F(ServeTest, TinyBudgetZeroShareSlotsFoldAsExactNoOps) {
+  const ChainQuery query = Fig5(true);
+  constexpr uint64_t kBudget = 3;  // 8 slots: only slots 0-2 run
+  ServingCore core(indexes_);
+  const ChartHandle handle =
+      core.Submit(query, testing::BudgetJob(kBudget, 8));
+  const ParallelOlaResult awaited = handle.Await();
+  EXPECT_EQ(awaited.estimates.walks(), kBudget);
+  const std::vector<GroupedEstimates> slots = handle.SlotPartials();
+  ASSERT_EQ(slots.size(), 8u);
+  GroupedEstimates all;
+  GroupedEstimates ran;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    if (s < kBudget) {
+      EXPECT_EQ(slots[s].walks(), 1u) << "slot " << s;
+      ran.Merge(slots[s]);
+    } else {
+      EXPECT_EQ(slots[s].walks(), 0u) << "slot " << s;
+      EXPECT_TRUE(slots[s].Estimates().empty()) << "slot " << s;
+    }
+    all.Merge(slots[s]);
+  }
+  ExpectBitIdentical(all, ran);
+  ExpectBitIdentical(all, awaited.estimates);
+}
+
+// Snapshot() on a finished job is exactly the Await() result (deadline
+// mode, so the walk count is whatever the deadline allowed).
+TEST_F(ServeTest, FinishedSnapshotEqualsAwait) {
+  ServingCore core(indexes_);
+  ChartJobOptions job;
+  job.deadline_seconds = 0.05;
+  job.workers = 4;
+  const ChartHandle handle = core.Submit(Fig5(true), job);
+  const ParallelOlaResult awaited = handle.Await();
+  EXPECT_GT(awaited.estimates.walks(), 0u);
+  EXPECT_EQ(awaited.workers, 4);
+  EXPECT_EQ(handle.state(), ChartJobState::kDone);
+  ExpectBitIdentical(handle.Snapshot().estimates, awaited.estimates);
+}
+
+// Explorer::ApproximateChartParallel serves the caller's ChartJobOptions
+// as given: batch_walks = 1 runs unbatched (aj.batched_walks stays 0) and
+// the default runs every walk through the batched path.
+TEST_F(ServeTest, ApproximateChartParallelHonorsBatchWalks) {
+  Explorer explorer(testing::PaperExampleGraph());
+  const ChainQuery query = Fig5(true);
+  ChartJobOptions job = testing::BudgetJob(2000, 2);
+  job.batch_walks = 1;
+  const Chart unbatched =
+      explorer.ApproximateChartParallel(query, BarKind::kClass, job);
+  EXPECT_FALSE(unbatched.bars.empty());
+  EXPECT_EQ(explorer.metrics().Counter("aj.walks"), 2000u);
+  EXPECT_EQ(explorer.metrics().Counter("aj.batched_walks"), 0u);
+
+  explorer.ClearMetrics();
+  job.batch_walks = 0;  // the default width
+  explorer.ApproximateChartParallel(query, BarKind::kClass, job);
+  EXPECT_EQ(explorer.metrics().Counter("aj.batched_walks"), 2000u);
 }
 
 // Priority: a high-priority job submitted while a low-priority job is

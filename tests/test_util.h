@@ -1,17 +1,23 @@
 // Shared helpers for the kgoa test suite: small deterministic graphs,
-// random graph/query generation, and an independent brute-force evaluator
+// random graph/query generation, an independent brute-force evaluator
 // used as the reference implementation in cross-engine agreement and
-// unbiasedness tests.
+// unbiasedness tests, and the serving-core helpers behind the budget-mode
+// bit-identity tests.
 #ifndef KGOA_TESTS_TEST_UTIL_H_
 #define KGOA_TESTS_TEST_UTIL_H_
+
+#include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "src/index/snapshot.h"
 #include "src/join/result.h"
+#include "src/ola/parallel.h"
 #include "src/query/chain_query.h"
 #include "src/rdf/graph.h"
 #include "src/rdf/vocab.h"
@@ -220,6 +226,55 @@ inline std::optional<ChainQuery> RandomChainQuery(Rng& rng,
   if (candidates.empty()) return std::nullopt;
   const auto [alpha, beta] = candidates[rng.Below(candidates.size())];
   return ChainQuery::Create(std::move(patterns), alpha, beta, distinct);
+}
+
+// A walk-budget chart job: `budget` walks split over `workers` logical
+// slots seeded seed..seed+workers-1. The low tipping threshold keeps Audit
+// Join's tipping path busy on the small test graphs.
+inline ChartJobOptions BudgetJob(uint64_t budget, int workers,
+                                 uint64_t seed = 17) {
+  ChartJobOptions job;
+  job.walk_budget = budget;
+  job.workers = workers;
+  job.seed = seed;
+  job.tipping_threshold = 2.0;
+  return job;
+}
+
+// The synchronous chart call: one job, Submit + Await, on a private
+// `threads`-worker ServingCore.
+inline ParallelOlaResult Serve(GraphSnapshot snapshot, const ChainQuery& query,
+                               ChartJobOptions job, int threads = 2) {
+  ServingCore::Options options;
+  options.threads = threads;
+  ServingCore core(std::move(snapshot), options);
+  return core.Submit(query, std::move(job)).Await();
+}
+
+// Same, over externally owned indexes.
+inline ParallelOlaResult Serve(const IndexSet& indexes,
+                               const ChainQuery& query, ChartJobOptions job,
+                               int threads = 2) {
+  return Serve(GraphSnapshot::Unowned(indexes), query, std::move(job),
+               threads);
+}
+
+// Budget-mode bit-identity: same walk counts, and every group's estimate
+// and CI half-width equal as doubles (not merely close).
+inline void ExpectBitIdentical(const GroupedEstimates& a,
+                               const GroupedEstimates& b) {
+  EXPECT_EQ(a.walks(), b.walks());
+  EXPECT_EQ(a.rejected_walks(), b.rejected_walks());
+  const auto ea = a.Estimates();
+  const auto eb = b.Estimates();
+  ASSERT_EQ(ea.size(), eb.size());
+  for (const auto& [group, estimate] : ea) {
+    const auto it = eb.find(group);
+    ASSERT_NE(it, eb.end());
+    EXPECT_EQ(estimate, it->second) << "group " << group;
+    EXPECT_EQ(a.CiHalfWidth(group), b.CiHalfWidth(group))
+        << "group " << group;
+  }
 }
 
 }  // namespace kgoa::testing
